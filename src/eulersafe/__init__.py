@@ -4,11 +4,13 @@ Linear-time decisions about directed Eulerian graphs: whether the Eulerian
 circuit is unique, which consecutive edge pairs are forced in every
 circuit, and the full set of maximal safe walks. Independent oracles
 (exhaustive enumeration, determinant-based counting, cycle-intersection
-test) are provided for verification.
+test) are provided for verification; exact circuit counting factors the
+BEST theorem over biconnected blocks.
 """
 
 from .circuit import (
     canonical_rotation,
+    count_circuits,
     find_eulerian_circuit,
     swap_at_node,
     verify_circuit,
@@ -85,6 +87,7 @@ __all__ = [
     "component_split",
     "count_arborescences",
     "count_best",
+    "count_circuits",
     "count_eulerian_circuits",
     "edge_list_text",
     "enumerate_eulerian_circuits",

@@ -1,10 +1,23 @@
-"""Eulerian circuit construction (Hierholzer) and circuit surgery."""
+"""Eulerian circuit construction (Hierholzer), exact circuit counting, and
+circuit surgery."""
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import factorial
 from typing import Optional, Sequence
 
-from .graph import Circuit, ContractError, Graph, is_eulerian
+from .graph import Circuit, ContractError, Graph, is_eulerian, require_eulerian
+from .undirected import edge_blocks, underlying_undirected
+
+# Bound on the dense determinants of count_circuits: the reduced blocks'
+# kept-node counts k must satisfy sum(k**3) <= MAX_BLOCK_NODES**3, so the
+# total elimination work is at most that of one block of this size.
+# Bareiss on a 150-node block took 1.6 s for a complete bidirected graph,
+# 3.2 s with every arc 20 times and 6.0 s with every arc 1000 times
+# (Python 3.11, 2-core x86-64 host); 200 nodes took 5.9 s, 9.9 s and about
+# 20 s. Beyond the bound, counting is refused rather than run unbounded.
+MAX_BLOCK_NODES = 150
 
 
 def find_eulerian_circuit(
@@ -95,6 +108,108 @@ def verify_circuit(g: Graph, c: Circuit) -> bool:
         if heads[edges[i]] != tails[edges[i + 1]]:
             return False
     return heads[edges[-1]] == tails[edges[0]]
+
+
+def count_circuits(g: Graph) -> int:
+    """Exact number of Eulerian circuits (rotation classes) of a multigraph.
+
+    Parallel edges are distinct and self-loops are allowed. The BEST
+    theorem is factored over the biconnected blocks ``B`` of the
+    underlying undirected graph::
+
+        ec(G) = prod_v (d(v) - 1)!  *  prod_B t(B)
+
+    where ``d(v)`` counts self-loops, which belong to no block, and
+    ``t(B)`` is the arborescence count of ``B``. Every block of an
+    Eulerian digraph is Eulerian, so ``t(B)`` does not depend on the root;
+    a block with as many edges as nodes is a directed cycle with
+    ``t(B) = 1``. Other blocks are series-reduced and their ``t(B)`` taken
+    as one exact determinant each. O(|E|) plus those determinants.
+
+    Raises :class:`ContractError` when the graph is not Eulerian, or when
+    the reduced blocks exceed the determinant bound of
+    :data:`MAX_BLOCK_NODES`.
+    """
+    require_eulerian(g)
+    product = 1
+    for d, k in Counter(len(edges) for edges in g.out_adj).items():
+        product *= factorial(d - 1) ** k
+    block, count = edge_blocks(underlying_undirected(g))
+    members: list[list[int]] = [[] for _ in range(count)]
+    for e, b in enumerate(block):
+        if b >= 0:
+            members[b].append(e)
+    reduced = [r for r in (_series_reduce(g, edges) for edges in members) if r]
+    if sum(k**3 for k, _ in reduced) > MAX_BLOCK_NODES**3:
+        largest = max(k for k, _ in reduced)
+        raise ContractError(
+            f"exact count refused: {len(reduced)} block(s) of up to {largest} nodes "
+            f"after series reduction exceed the determinant bound of one "
+            f"{MAX_BLOCK_NODES}-node block"
+        )
+    for k, arcs in reduced:
+        lap = [[0] * k for _ in range(k)]
+        for i, j in arcs:
+            lap[i][i] += 1
+            lap[i][j] -= 1
+        # Rooted at kept node 0: delete its row and column.
+        product *= _bareiss_determinant([row[1:] for row in lap[1:]])
+    return product
+
+
+def _series_reduce(g: Graph, edges: list[int]) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """Series reduction of one Eulerian block, given by its edge ids.
+
+    Every node of in-block degree 1 is contracted: its transition is
+    forced, so the arborescence count is unchanged. Returns ``(k, arcs)``
+    over the ``k`` kept nodes, numbered 0..k-1, with one arc per kept
+    out-edge (parallel arcs repeat), or None for a directed cycle.
+    """
+    tails = g.tails
+    heads = g.heads
+    succ: dict[int, list[int]] = {}
+    for e in edges:
+        succ.setdefault(tails[e], []).append(heads[e])
+    if len(succ) == len(edges):
+        return None
+    index: dict[int, int] = {}
+    for v, out in succ.items():
+        if len(out) > 1:
+            index[v] = len(index)
+    arcs = []
+    for v, i in index.items():
+        for w in succ[v]:
+            while w not in index:
+                w = succ[w][0]
+            arcs.append((i, index[w]))
+    return len(index), arcs
+
+
+def _bareiss_determinant(a: list[list[int]]) -> int:
+    """Exact determinant by fraction-free integer elimination (destructive)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            row_k = a[k]
+            factor = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:

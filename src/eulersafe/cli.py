@@ -2,7 +2,7 @@
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
-2 for usage, I/O, or parse errors.
+2 for usage, I/O, or parse errors and for a count refused by its size bound.
 """
 from __future__ import annotations
 
@@ -12,13 +12,17 @@ import sys
 from typing import Optional
 
 from . import generator, oracles, safety
-from .circuit import canonical_rotation
+from .circuit import canonical_rotation, count_circuits
 from .graph import Graph, GraphError, ParseError, normalize, is_eulerian, parse_edge_list, walk_nodes
 
 
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_edge_list(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_edge_list(text)
 
 
 def cmd_check(args) -> int:
@@ -78,16 +82,31 @@ def _emit(**fields) -> None:
 
 def cmd_count(args) -> int:
     g = _load_graph(args.path)
-    ng, _ = normalize(g)
     if args.method == "best":
-        print(oracles.count_best(ng).epsilon)
+        _print_exact(count_circuits(g))
         return 0
-    count, capped = oracles.count_eulerian_circuits(ng, cap=args.cap)
+    count, capped = oracles.count_eulerian_circuits(g, cap=args.cap)
     if capped:
         print(f">= {count}")
         return 1
     print(count)
     return 0
+
+
+def _print_exact(n: int) -> None:
+    """Print an integer of any length. Interpreters that cap int-to-str
+    conversion (``sys.set_int_max_str_digits``) would refuse a count
+    such as (d - 1)! for one node with 2000 self-loops."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        print(n)
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        print(n)
+    finally:
+        set_limit(limit)
 
 
 def cmd_oracle_compare(args) -> int:
@@ -100,11 +119,12 @@ def cmd_oracle_compare(args) -> int:
     failures = []
     enumerated = oracles.enumerate_eulerian_circuits(ng)
     best = oracles.count_best(ng)
+    blocks = count_circuits(g)
     unique = safety.has_unique_eulerian_circuit(g)
-    if best.epsilon != enumerated.count:
+    if not blocks == best.epsilon == enumerated.count:
         failures.append(
-            f"circuit count: determinant formula gives {best.epsilon}, "
-            f"enumeration gives {enumerated.count}"
+            f"circuit count: block factorization gives {blocks}, determinant formula "
+            f"gives {best.epsilon}, enumeration gives {enumerated.count}"
         )
     if unique != (enumerated.count == 1):
         failures.append(

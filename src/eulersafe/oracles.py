@@ -4,7 +4,9 @@ Everything here is deliberately exponential or determinant-based so that it
 shares no code path with the linear-time pipeline it cross-checks:
 exhaustive circuit enumeration, arborescence counting via exact integer
 determinants, brute-force safe walks straight from the definition, and the
-classic cycle-intersection-graph uniqueness test.
+classic cycle-intersection-graph uniqueness test. The one shared routine is
+the Bareiss determinant, which the dense :func:`count_best` borrows from the
+block-factored production counter.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional
 
+from .circuit import _bareiss_determinant
 from .graph import (
     Circuit,
     ContractError,
@@ -72,7 +75,8 @@ def _for_each_circuit(g: Graph, visit) -> None:
     Anchoring is valid because every Eulerian circuit uses edge 0 exactly
     once, so ``visit`` sees each rotation class exactly once, as a mutable
     edge-id list it must not keep. Returning False from ``visit`` stops
-    the search.
+    the search. The search keeps an explicit stack, so circuit length is
+    not limited by the interpreter's recursion limit.
     """
     require_eulerian(g)
     m = g.num_edges
@@ -82,24 +86,26 @@ def _for_each_circuit(g: Graph, visit) -> None:
     used = bytearray(m)
     used[0] = 1
     path = [0]
-
-    def search(v: int, remaining: int) -> bool:
-        if remaining == 0:
-            if v != start:
-                return True
-            return visit(path)
-        for e in out_adj[v]:
-            if not used[e]:
+    # cursor[i]: next position to try in the out-edges of heads[path[i]].
+    cursor = [0]
+    while path:
+        if len(path) == m:
+            if heads[path[-1]] == start and not visit(path):
+                return
+        else:
+            adj = out_adj[heads[path[-1]]]
+            i = cursor[-1]
+            while i < len(adj) and used[adj[i]]:
+                i += 1
+            if i < len(adj):
+                cursor[-1] = i + 1
+                e = adj[i]
                 used[e] = 1
                 path.append(e)
-                alive = search(heads[e], remaining - 1)
-                path.pop()
-                used[e] = 0
-                if not alive:
-                    return False
-        return True
-
-    search(heads[0], m - 1)
+                cursor.append(0)
+                continue
+        cursor.pop()
+        used[path.pop()] = 0
 
 
 def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> EnumerationResult:
@@ -138,33 +144,6 @@ def count_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> tuple[int, b
 
     _for_each_circuit(g, visit)
     return count, capped
-
-
-def _bareiss_determinant(a: list[list[int]]) -> int:
-    """Exact determinant by fraction-free integer elimination (destructive)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            row_k = a[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def count_arborescences(g: Graph, root: str) -> int:

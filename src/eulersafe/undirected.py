@@ -63,13 +63,16 @@ def underlying_undirected(g: Graph) -> UGraph:
     return UGraph(g.labels, g.index, off, nbr, eid)
 
 
-def articulation_flags(u: UGraph) -> list[bool]:
-    """Per-node-id cut flags via one iterative lowlink DFS.
+def _lowlink(u: UGraph) -> tuple[list[int], list[int], list[bool]]:
+    """The one lowlink DFS (Hopcroft-Tarjan), iterative, from node 0.
 
-    Only the specific edge used to enter a node is skipped when updating
-    lowlinks, so a parallel copy of the tree edge acts as a back edge and a
-    doubled edge never makes its endpoints look like a cut. Raises
-    :class:`ContractError` on disconnected input.
+    Returns ``(disc, parent, opens)``: discovery time and DFS-tree parent
+    (-1 for the root) per node id, and ``opens[w]`` true when the tree edge
+    into ``w`` starts a new biconnected block, i.e. ``low[w] >= disc[p]``
+    for its parent ``p``. Only the specific edge used to enter a node is
+    skipped when updating lowlinks, so a parallel copy of the tree edge
+    acts as a back edge and a doubled edge never separates its endpoints.
+    Raises :class:`ContractError` on disconnected input.
     """
     n = u.num_nodes
     off = u.off
@@ -80,10 +83,9 @@ def articulation_flags(u: UGraph) -> list[bool]:
     parent = [-1] * n
     via = [-1] * n  # edge id used to first reach each node
     cursor = off[:-1].copy()
-    flags = [False] * n
+    opens = [False] * n
     disc[0] = low[0] = 0
     timer = 1
-    root_children = 0
     stack = [0]
     while stack:
         v = stack[-1]
@@ -105,17 +107,70 @@ def articulation_flags(u: UGraph) -> list[bool]:
             stack.pop()
             p = parent[v]
             if p != -1:
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if p == 0:
-                    root_children += 1
-                elif low[v] >= disc[p]:
-                    flags[p] = True
+                lv = low[v]
+                if lv < low[p]:
+                    low[p] = lv
+                if lv >= disc[p]:
+                    opens[v] = True
     if timer != n:
         raise ContractError("undirected graph is not connected")
-    if root_children > 1:
-        flags[0] = True
+    return disc, parent, opens
+
+
+def articulation_flags(u: UGraph) -> list[bool]:
+    """Per-node-id cut flags from the lowlink DFS.
+
+    A non-root node is a cut node iff some child opens a block below it;
+    the root iff it has more than one DFS child (each of which opens one).
+    Raises :class:`ContractError` on disconnected input.
+    """
+    _, parent, opens = _lowlink(u)
+    flags = [False] * u.num_nodes
+    root_children = 0
+    for w, p in enumerate(parent):
+        if opens[w]:
+            if p:
+                flags[p] = True
+            else:
+                root_children += 1
+    flags[0] = root_children > 1
     return flags
+
+
+def edge_blocks(u: UGraph) -> tuple[list[int], int]:
+    """Biconnected block id of every edge, from the lowlink DFS.
+
+    Returns ``(block, count)``: ``block[e]`` in ``0..count-1`` for each
+    non-loop edge id ``e`` and -1 for a self-loop, which belongs to no
+    block. In discovery order a node either opens a new block with its
+    tree edge or continues its parent's; an edge then belongs to the block
+    of its endpoint discovered later (tree edges and back edges alike).
+    Raises :class:`ContractError` on disconnected input.
+    """
+    disc, parent, opens = _lowlink(u)
+    n = u.num_nodes
+    order = [0] * n
+    for v in range(n):
+        order[disc[v]] = v
+    node_block = [-1] * n
+    count = 0
+    for w in order[1:]:
+        if opens[w]:
+            node_block[w] = count
+            count += 1
+        else:
+            node_block[w] = node_block[parent[w]]
+    off = u.off
+    nbr = u.nbr
+    eid = u.eid
+    block = [-1] * u.num_edges
+    for v in range(n):
+        dv = disc[v]
+        b = node_block[v]
+        for i in range(off[v], off[v + 1]):
+            if disc[nbr[i]] < dv:
+                block[eid[i]] = b
+    return block, count
 
 
 def articulation_points(u: UGraph) -> set[str]:

@@ -1,9 +1,19 @@
 """End-to-end command-line behavior, including exit codes."""
 import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from collections import Counter
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import eulersafe
 from eulersafe import cli, parse_edge_list, is_eulerian
+from eulersafe.circuit import MAX_BLOCK_NODES
 from eulersafe.safety import SafeWalkReport
 
 TRIANGLE = "a b\nb c\nc a\n"
@@ -153,6 +163,12 @@ class TestOracleCompare:
         )
         assert capsys.readouterr().out.startswith("skipped: enumeration infeasible")
 
+    def test_counter_fault_is_caught(self, graph_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_circuits", lambda g: 4)
+        assert cli.main(["oracle-compare", graph_file(BIDIRECTED)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: circuit count: block factorization gives 4")
+
     def test_fault_injection_is_caught(self, graph_file, capsys, monkeypatch):
         # Break the pipeline on purpose; the oracles must notice.
         def wrong(g, norm_map=None, rng=None):
@@ -167,6 +183,93 @@ class TestOracleCompare:
         out = capsys.readouterr().out
         assert out.startswith("FAIL:")
         assert "safe walks" in out
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``python -m eulersafe.cli`` in a child limited to 60 s and 2 GiB of
+    address space, so a runaway allocation fails in the child, not the
+    machine."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "eulersafe.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=limit_memory,
+    )
+    assert "Traceback" not in result.stderr
+    return result
+
+
+def cactus_edges(num_nodes: int, seed: int) -> list[tuple[str, str]]:
+    """Directed cycles of length 2 to 6, each attached at a random node of
+    the cactus built so far."""
+    rng = random.Random(seed)
+    edges = []
+    n = 1
+    while n < num_nodes:
+        k = min(rng.randint(2, 6), num_nodes - n + 1)
+        cycle = [rng.randrange(n), *range(n, n + k - 1)]
+        n += k - 1
+        edges += [(f"c{cycle[i]}", f"c{cycle[(i + 1) % k]}") for i in range(k)]
+    return edges
+
+
+class TestLargeAndMalformedInput:
+    """Inputs that once ended in a traceback, an OOM kill or no answer
+    within a minute."""
+
+    def test_count_long_ring(self, graph_file):
+        result = run_cli("count", graph_file("".join(f"r{i} r{(i + 1) % 3000}\n" for i in range(3000))))
+        assert (result.returncode, result.stdout) == (0, "1\n")
+
+    def test_count_large_cactus(self, graph_file):
+        edges = cactus_edges(100_000, seed=5)
+        expected = 1
+        for d in Counter(t for t, _ in edges).values():
+            expected *= factorial(d - 1)
+        result = run_cli("count", graph_file("".join(f"{t} {h}\n" for t, h in edges)))
+        assert (result.returncode, result.stdout) == (0, f"{expected}\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_count_longer_than_int_str_limit(self, graph_file):
+        result = run_cli("count", graph_file("a a\n" * 2000))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{factorial(1999)}\n"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) > limit
+        assert (result.returncode, result.stdout) == (0, expected)
+
+    def test_enumerate_long_ring(self, graph_file):
+        text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
+        result = run_cli("count", graph_file(text), "--method", "enumerate")
+        assert (result.returncode, result.stdout) == (0, "1\n")
+
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"\xff\xfe a b\n")
+        result = run_cli("check", str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("parse error: input is not valid UTF-8")
+        assert result.stderr.count("\n") == 1
+
+    def test_block_above_bound_is_refused(self, graph_file):
+        k = MAX_BLOCK_NODES + 1
+        text = "".join(f"b{i} b{(i + 1) % k}\nb{(i + 1) % k} b{i}\n" for i in range(k))
+        result = run_cli("count", graph_file(text))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: exact count refused")
+        assert result.stderr.count("\n") == 1
 
 
 class TestGen:
