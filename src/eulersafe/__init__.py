@@ -5,7 +5,9 @@ circuit is unique, which consecutive edge pairs are forced in every
 circuit, and the full set of maximal safe walks. Independent oracles
 (exhaustive enumeration, determinant-based counting, cycle-intersection
 test) are provided for verification; exact circuit counting factors the
-BEST theorem over biconnected blocks.
+BEST theorem over biconnected blocks. Self-loops and parallel edges are
+analysed as they are; ``normalize`` only feeds the oracles that need a
+simple graph.
 """
 
 from .circuit import (
@@ -22,12 +24,9 @@ from .graph import (
     EulerCheck,
     Graph,
     GraphError,
-    NormalizationMap,
     ParseError,
-    Walk,
     is_eulerian,
     is_valid_walk,
-    normalize,
     parse_edge_list,
     walk_nodes,
 )
@@ -36,11 +35,13 @@ from .oracles import (
     EnumerationOverflow,
     EnumerationResult,
     IntersectionGraph,
+    NormalizationMap,
     brute_force_safe_walks,
     count_arborescences,
     count_best,
     count_eulerian_circuits,
     enumerate_eulerian_circuits,
+    normalize,
     pevzner_intersection_graph,
 )
 from .safety import (
@@ -79,7 +80,6 @@ __all__ = [
     "SafeWalkReport",
     "SafetyEvidence",
     "UGraph",
-    "Walk",
     "articulation_points",
     "brute_force_safe_walks",
     "canonical_rotation",

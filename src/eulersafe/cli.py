@@ -2,7 +2,8 @@
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
-2 for usage, I/O, or parse errors and for a count refused by its size bound.
+2 for usage, I/O, or parse errors and for a count or an oracle comparison
+refused by its size bound.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import sys
 from typing import Optional
 
 from . import generator, oracles, safety
-from .circuit import canonical_rotation, count_circuits
-from .graph import Graph, GraphError, ParseError, normalize, is_eulerian, parse_edge_list, walk_nodes
+from .circuit import MAX_BLOCK_NODES, canonical_rotation, count_circuits
+from .graph import ContractError, Graph, GraphError, ParseError, is_eulerian, parse_edge_list, walk_nodes
 
 
 def _load_graph(path: str) -> Graph:
@@ -46,8 +47,7 @@ def cmd_unique(args) -> int:
 
 def cmd_safe(args) -> int:
     g = _load_graph(args.path)
-    ng, norm_map = normalize(g)
-    report = safety.maximal_safe_walks(ng, norm_map=norm_map)
+    report = safety.maximal_safe_walks(g)
     if args.format == "structured":
         _emit(
             record="header",
@@ -111,13 +111,20 @@ def _print_exact(n: int) -> None:
 
 def cmd_oracle_compare(args) -> int:
     g = _load_graph(args.path)
-    ng, norm_map = normalize(g)
-    if ng.num_edges > args.max_edges:
-        print(f"skipped: enumeration infeasible (|E|={ng.num_edges} > {args.max_edges})")
+    if g.num_edges > args.max_edges:
+        print(f"skipped: enumeration infeasible (|E|={g.num_edges} > {args.max_edges})")
         return 0
+    # The dense oracles need a simple graph; count_best's determinant is
+    # held to the same bound as one block of count_circuits.
+    ng, _ = oracles.normalize(g)
+    if ng.num_nodes - 1 > MAX_BLOCK_NODES:
+        raise ContractError(
+            f"oracle comparison refused: count_best would take a {ng.num_nodes - 1}-row "
+            f"determinant, above the bound of {MAX_BLOCK_NODES}"
+        )
 
     failures = []
-    enumerated = oracles.enumerate_eulerian_circuits(ng)
+    enumerated = oracles.enumerate_eulerian_circuits(g)
     best = oracles.count_best(ng)
     blocks = count_circuits(g)
     unique = safety.has_unique_eulerian_circuit(g)
@@ -130,13 +137,13 @@ def cmd_oracle_compare(args) -> int:
         failures.append(
             f"uniqueness: linear-time verdict {unique}, enumeration count {enumerated.count}"
         )
-    report = safety.maximal_safe_walks(ng)
-    brute = oracles.brute_force_safe_walks(ng)
+    report = safety.maximal_safe_walks(g)
+    brute = oracles.brute_force_safe_walks(g)
     if _walk_multiset(report) != _walk_multiset(brute):
         failures.append("maximal safe walks differ from brute-force result")
-    if report.total_edge_length != ng.num_edges:
+    if report.total_edge_length != g.num_edges:
         failures.append(
-            f"conservation: walks cover {report.total_edge_length} of {ng.num_edges} edges"
+            f"conservation: walks cover {report.total_edge_length} of {g.num_edges} edges"
         )
     intersection = oracles.pevzner_intersection_graph(ng)
     if intersection.is_tree != unique:

@@ -1,9 +1,9 @@
-"""Directed multigraph model: parsing, normalization, Eulerian checks.
+"""Directed multigraph model: parsing, walks, Eulerian checks.
 
 Node labels are opaque strings; internally they are mapped to dense integer
 ids so that every algorithm in the package can use plain array indexing.
-Edges are numbered 0..m-1 in insertion order and keep that identity through
-normalization (via :class:`NormalizationMap`) and every downstream result.
+Edges are numbered 0..m-1 in insertion order, and every result refers to
+edges by those ids. Self-loops and parallel edges are ordinary edges.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ class Graph:
     are safe to share between threads.
     """
 
-    __slots__ = ("labels", "index", "tails", "heads", "out_adj", "in_adj", "_simple")
+    __slots__ = ("labels", "index", "tails", "heads", "out_adj", "in_adj")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         labels: list[str] = []
@@ -66,7 +66,6 @@ class Graph:
         self.heads = heads
         self.out_adj = out_adj
         self.in_adj = in_adj
-        self._simple: Optional[bool] = None
 
     @property
     def num_nodes(self) -> int:
@@ -85,30 +84,6 @@ class Graph:
         for e in range(len(self.tails)):
             yield self.labels[self.tails[e]], self.labels[self.heads[e]]
 
-    def out_degree(self, label: str) -> int:
-        return len(self.out_adj[self.index[label]])
-
-    def in_degree(self, label: str) -> int:
-        return len(self.in_adj[self.index[label]])
-
-    def is_simple(self) -> bool:
-        """True iff the graph has no self-loop and no parallel edge pair."""
-        if self._simple is None:
-            self._simple = self._check_simple()
-        return self._simple
-
-    def _check_simple(self) -> bool:
-        n = len(self.labels)
-        seen: set[int] = set()
-        for t, h in zip(self.tails, self.heads):
-            if t == h:
-                return False
-            key = t * n + h
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -116,26 +91,18 @@ class Graph:
             other.edge_pairs()
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - rarely needed
-        return hash((tuple(self.labels), tuple(self.edge_pairs())))
-
     def __repr__(self) -> str:
         return f"Graph(nodes={len(self.labels)}, edges={len(self.tails)})"
 
 
 @dataclass(frozen=True)
-class Walk:
-    """A head-to-tail consistent sequence of edge ids."""
+class Circuit:
+    """Edge ids of a closed walk: the last edge ends where the first starts."""
 
     edges: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class Circuit(Walk):
-    """A walk whose last edge ends where its first edge starts."""
 
 
 def walk_nodes(g: Graph, edges: Sequence[int]) -> list[str]:
@@ -181,125 +148,6 @@ def parse_edge_list(text: str) -> Graph:
     if not edges:
         raise ParseError("graph must have at least one edge")
     return Graph(edges)
-
-
-@dataclass(frozen=True)
-class NormalizationMap:
-    """Provenance of a normalization pass.
-
-    ``origin[e]`` is the original edge id behind normalized edge ``e``;
-    ``half[e]`` is 0 for an untouched edge or the first half of a subdivided
-    one, 1 for the second half.
-    """
-
-    origin: tuple[int, ...]
-    half: tuple[int, ...]
-    subdivision_nodes: frozenset[str]
-    self_loops: int
-    parallel_duplicates: int
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.subdivision_nodes
-
-    def project(self, edges: Sequence[int], circular: bool = False) -> tuple[int, ...]:
-        """Map a walk over the normalized graph back to original edge ids.
-
-        The two halves of a subdivided edge always travel together inside a
-        walk and collapse to one occurrence of the original id. For circuits
-        (``circular=True``) a pair split across the wrap point also collapses.
-        """
-        origin = self.origin
-        half = self.half
-        out: list[int] = []
-        for e in edges:
-            if half[e] == 1 and out and out[-1] == origin[e]:
-                continue
-            out.append(origin[e])
-        if circular and len(out) > 1 and half[edges[0]] == 1 and out[-1] == out[0]:
-            out.pop()
-        return tuple(out)
-
-
-def _fresh_label(base_index: dict[str, int], taken: set[str], counter: int) -> tuple[str, int]:
-    while True:
-        label = f"s{counter}"
-        counter += 1
-        if label not in base_index and label not in taken:
-            return label, counter
-
-
-def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
-    """Rewrite self-loops and parallel duplicates into length-two paths.
-
-    Within a group of parallel edges the lowest edge id is kept intact and
-    the rest are subdivided through fresh nodes; every self-loop is
-    subdivided. The result satisfies the simple-graph invariant. If the
-    input is already simple, the same Graph object is returned with an
-    identity map.
-    """
-    m = g.num_edges
-    n = g.num_nodes
-    rewrite = [False] * m
-    self_loops = 0
-    duplicates = 0
-    seen: set[int] = set()
-    for e in range(m):
-        t = g.tails[e]
-        h = g.heads[e]
-        if t == h:
-            rewrite[e] = True
-            self_loops += 1
-        else:
-            key = t * n + h
-            if key in seen:
-                rewrite[e] = True
-                duplicates += 1
-            else:
-                seen.add(key)
-    if self_loops == 0 and duplicates == 0:
-        g._simple = True
-        identity = NormalizationMap(
-            origin=tuple(range(m)),
-            half=(0,) * m,
-            subdivision_nodes=frozenset(),
-            self_loops=0,
-            parallel_duplicates=0,
-        )
-        return g, identity
-
-    edges: list[tuple[str, str]] = []
-    origin: list[int] = []
-    half: list[int] = []
-    subs: list[str] = []
-    taken: set[str] = set()
-    counter = 0
-    for e in range(m):
-        tail, head = g.edge(e)
-        if rewrite[e]:
-            label, counter = _fresh_label(g.index, taken, counter)
-            taken.add(label)
-            subs.append(label)
-            edges.append((tail, label))
-            origin.append(e)
-            half.append(0)
-            edges.append((label, head))
-            origin.append(e)
-            half.append(1)
-        else:
-            edges.append((tail, head))
-            origin.append(e)
-            half.append(0)
-    mapping = NormalizationMap(
-        origin=tuple(origin),
-        half=tuple(half),
-        subdivision_nodes=frozenset(subs),
-        self_loops=self_loops,
-        parallel_duplicates=duplicates,
-    )
-    result = Graph(edges)
-    result._simple = True  # guaranteed by construction
-    return result, mapping
 
 
 @dataclass(frozen=True)
@@ -375,9 +223,3 @@ def require_eulerian(g: Graph) -> None:
     check = is_eulerian(g)
     if not check.ok:
         raise ContractError(f"graph is not Eulerian: {check.detail}")
-
-
-def require_simple(g: Graph) -> None:
-    """Raise :class:`ContractError` if the graph has loops or parallel edges."""
-    if not g.is_simple():
-        raise ContractError("graph must be normalized (no self-loops or parallel edges)")

@@ -6,24 +6,19 @@ exhaustive circuit enumeration, arborescence counting via exact integer
 determinants, brute-force safe walks straight from the definition, and the
 classic cycle-intersection-graph uniqueness test. The one shared routine is
 the Bareiss determinant, which the dense :func:`count_best` borrows from the
-block-factored production counter.
+block-factored production counter. :func:`normalize` rewrites a multigraph
+into a simple one, and exists only to feed the two oracles that need one,
+:func:`count_best` and :func:`pevzner_intersection_graph`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import Optional, Sequence
 
 from .circuit import _bareiss_determinant
-from .graph import (
-    Circuit,
-    ContractError,
-    Graph,
-    GraphError,
-    require_eulerian,
-    require_simple,
-)
+from .graph import Circuit, ContractError, Graph, GraphError, require_eulerian
 from .safety import SafeWalkReport
 
 
@@ -67,6 +62,136 @@ class IntersectionGraph:
     cycle_edges: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, str], ...]
     is_tree: bool
+
+
+@dataclass(frozen=True)
+class NormalizationMap:
+    """Provenance of a normalization pass.
+
+    ``origin[e]`` is the original edge id behind normalized edge ``e``;
+    ``half[e]`` is 0 for an untouched edge or the first half of a subdivided
+    one, 1 for the second half.
+    """
+
+    origin: tuple[int, ...]
+    half: tuple[int, ...]
+    subdivision_nodes: frozenset[str]
+    self_loops: int
+    parallel_duplicates: int
+
+    @property
+    def is_identity(self) -> bool:
+        return not self.subdivision_nodes
+
+    def project(self, edges: Sequence[int], circular: bool = False) -> tuple[int, ...]:
+        """Map a walk over the normalized graph back to original edge ids.
+
+        The two halves of a subdivided edge always travel together inside a
+        walk and collapse to one occurrence of the original id. For circuits
+        (``circular=True``) a pair split across the wrap point also collapses.
+        """
+        origin = self.origin
+        half = self.half
+        out: list[int] = []
+        for e in edges:
+            if half[e] == 1 and out and out[-1] == origin[e]:
+                continue
+            out.append(origin[e])
+        if circular and len(out) > 1 and half[edges[0]] == 1 and out[-1] == out[0]:
+            out.pop()
+        return tuple(out)
+
+
+def _rewritten_edges(g: Graph) -> list[int]:
+    """Ids of the edges that keep ``g`` from being simple, ascending: every
+    self-loop, and every parallel copy after the lowest id of its group."""
+    n = g.num_nodes
+    seen: set[int] = set()
+    found: list[int] = []
+    for e, (t, h) in enumerate(zip(g.tails, g.heads)):
+        if t == h:
+            found.append(e)
+        else:
+            key = t * n + h
+            if key in seen:
+                found.append(e)
+            else:
+                seen.add(key)
+    return found
+
+
+def is_simple(g: Graph) -> bool:
+    """True iff the graph has no self-loop and no parallel edge pair."""
+    return not _rewritten_edges(g)
+
+
+def require_simple(g: Graph) -> None:
+    """Raise :class:`ContractError` if the graph has loops or parallel edges."""
+    if not is_simple(g):
+        raise ContractError("graph must be normalized (no self-loops or parallel edges)")
+
+
+def _fresh_label(base_index: dict[str, int], taken: set[str], counter: int) -> tuple[str, int]:
+    while True:
+        label = f"s{counter}"
+        counter += 1
+        if label not in base_index and label not in taken:
+            return label, counter
+
+
+def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
+    """Rewrite self-loops and parallel duplicates into length-two paths.
+
+    Within a group of parallel edges the lowest edge id is kept intact and
+    the rest are subdivided through fresh nodes; every self-loop is
+    subdivided. The result satisfies the simple-graph invariant. If the
+    input is already simple, the same Graph object is returned with an
+    identity map.
+    """
+    m = g.num_edges
+    rewritten = _rewritten_edges(g)
+    if not rewritten:
+        identity = NormalizationMap(
+            origin=tuple(range(m)),
+            half=(0,) * m,
+            subdivision_nodes=frozenset(),
+            self_loops=0,
+            parallel_duplicates=0,
+        )
+        return g, identity
+    self_loops = sum(g.tails[e] == g.heads[e] for e in rewritten)
+    rewrite = set(rewritten)
+
+    edges: list[tuple[str, str]] = []
+    origin: list[int] = []
+    half: list[int] = []
+    subs: list[str] = []
+    taken: set[str] = set()
+    counter = 0
+    for e in range(m):
+        tail, head = g.edge(e)
+        if e in rewrite:
+            label, counter = _fresh_label(g.index, taken, counter)
+            taken.add(label)
+            subs.append(label)
+            edges.append((tail, label))
+            origin.append(e)
+            half.append(0)
+            edges.append((label, head))
+            origin.append(e)
+            half.append(1)
+        else:
+            edges.append((tail, head))
+            origin.append(e)
+            half.append(0)
+    mapping = NormalizationMap(
+        origin=tuple(origin),
+        half=tuple(half),
+        subdivision_nodes=frozenset(subs),
+        self_loops=self_loops,
+        parallel_duplicates=len(rewritten) - self_loops,
+    )
+    return Graph(edges), mapping
 
 
 def _for_each_circuit(g: Graph, visit) -> None:

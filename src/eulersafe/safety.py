@@ -5,28 +5,34 @@ exactly when it appears in some circuit and v has degree 1, or degree 2 and
 is a cut node of the underlying undirected graph. The set of nodes
 satisfying that degree/cut condition characterizes uniqueness (all nodes in
 the set) and gives the cutting points for maximal safe walks.
+
+Multigraphs are analysed as they are. A parallel copy of an edge never
+separates its endpoints, so the cut test needs no change for it. A
+self-loop at a degree-2 node is a side of its own: the circuit must leave
+the rest of the graph, take the loop and come back, exactly as at a cut
+node.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .circuit import _hierholzer
-from .graph import (
-    ContractError,
-    Graph,
-    NormalizationMap,
-    normalize,
-    require_eulerian,
-    require_simple,
-)
-from .undirected import UGraph, articulation_flags, component_split, underlying_undirected
+from .graph import ContractError, Graph, require_eulerian
+from .undirected import ComponentSplit, UGraph, articulation_flags, component_split, underlying_undirected
+
+if TYPE_CHECKING:
+    from .oracles import NormalizationMap
 
 
 @dataclass(frozen=True)
 class NodeClass:
-    """Per-node degree and cut status; ``in_a`` marks forcing nodes."""
+    """Per-node degree and cut status; ``in_a`` marks forcing nodes.
+
+    A degree-2 node that carries a self-loop is forcing without being a
+    cut node.
+    """
 
     label: str
     degree: int
@@ -74,7 +80,6 @@ def _node_class_arrays(g: Graph) -> tuple[list[int], list[bool], list[bool]]:
                 f"graph is not Eulerian: node '{g.labels[v]}' has out-degree "
                 f"{len(out_adj[v])} and in-degree {len(in_adj[v])}"
             )
-    require_simple(g)
     # The cut-node DFS doubles as the weak-connectivity part of the
     # Eulerian check, avoiding a separate traversal.
     try:
@@ -84,7 +89,11 @@ def _node_class_arrays(g: Graph) -> tuple[list[int], list[bool], list[bool]]:
             "graph is not Eulerian: the underlying undirected graph is not connected"
         ) from None
     degrees = [len(edges) for edges in out_adj]
-    in_a = [d == 1 or (d == 2 and c) for d, c in zip(degrees, cut)]
+    heads = g.heads
+    in_a = [
+        d == 1 or (d == 2 and (cut[v] or heads[out[0]] == v or heads[out[1]] == v))
+        for v, (d, out) in enumerate(zip(degrees, out_adj))
+    ]
     return degrees, cut, in_a
 
 
@@ -101,24 +110,29 @@ class SafePairChecker:
     """Answers consecutive-pair safety queries against one graph.
 
     The node classification is computed once; component splits are computed
-    per queried cut node and cached, so a batch of queries over the same
-    graph costs O(|E|) per distinct degree-2 cut node.
+    per queried forcing degree-2 node and cached, so a batch of queries over
+    the same graph costs O(|E|) per distinct such node.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self._degrees, self._cut, _ = _node_class_arrays(g)
+        self._degrees, _, self._in_a = _node_class_arrays(g)
         self._u: Optional[UGraph] = None
-        self._splits: dict[int, dict[str, int]] = {}
+        self._splits: dict[int, ComponentSplit] = {}
 
-    def _split_components(self, v: int) -> dict[str, int]:
-        cached = self._splits.get(v)
-        if cached is None:
+    def _side(self, v: int, e: int, w: int) -> int:
+        """The side of ``v`` that edge ``e`` reaches through its other end
+        ``w``: the component of G - v holding ``w``. A self-loop is a side
+        of its own, numbered after those components."""
+        split = self._splits.get(v)
+        if split is None:
             if self._u is None:
                 self._u = underlying_undirected(self.g)
-            cached = component_split(self._u, self.g.labels[v]).component
-            self._splits[v] = cached
-        return cached
+            split = self._splits[v] = component_split(self._u, self.g.labels[v])
+        if w != v:
+            return split.component[self.g.labels[w]]
+        loops = [f for f in self.g.out_adj[v] if self.g.heads[f] == v]
+        return split.count + loops.index(e)
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
         g = self.g
@@ -135,11 +149,10 @@ class SafePairChecker:
             return SafetyEvidence(True, "degree-one")
         if d >= 3:
             return SafetyEvidence(False, "degree-too-high")
-        if not self._cut[v]:
+        if not self._in_a[v]:
             return SafetyEvidence(False, "not-forced")
-        comp = self._split_components(v)
-        cu = comp[g.labels[g.tails[e1]]]
-        cw = comp[g.labels[g.heads[e2]]]
+        cu = self._side(v, e1, g.tails[e1])
+        cw = self._side(v, e2, g.heads[e2])
         if cu != cw:
             return SafetyEvidence(True, "cut-split", component_u=cu, component_w=cw)
         return SafetyEvidence(False, "not-in-any-circuit", component_u=cu, component_w=cw)
@@ -155,31 +168,12 @@ def is_safe_pair(g: Graph, e1: int, e2: int) -> SafetyEvidence:
 
 
 def has_unique_eulerian_circuit(g: Graph) -> bool:
-    """Decide uniqueness of the Eulerian circuit in O(|E|).
-
-    Accepts raw multigraphs: any parallel edge pair means at least two
-    circuits; a self-loop is tolerated only at a node of degree at most 2. The remaining decision is whether every node of
-    the normalized graph is forcing.
-    """
+    """Decide uniqueness of the Eulerian circuit in O(|E|): it is unique iff
+    every node is forcing."""
     require_eulerian(g)
-    n = g.num_nodes
-    seen: set[int] = set()
-    for e in range(g.num_edges):
-        t = g.tails[e]
-        h = g.heads[e]
-        if t == h:
-            # Degree 1 can only be a lone self-loop, which is unique; degree
-            # 2 defers to the normalized graph; higher degrees never are.
-            if len(g.out_adj[t]) > 2:
-                return False
-        else:
-            key = t * n + h
-            if key in seen:
-                return False
-            seen.add(key)
-    ng, _ = normalize(g)
-    _, _, in_a = _node_class_arrays(ng)
-    return all(in_a)
+    if any(len(edges) > 2 for edges in g.out_adj):
+        return False  # a node of degree 3 or more never forces
+    return all(_node_class_arrays(g)[2])
 
 
 def maximal_safe_walks(
@@ -192,8 +186,9 @@ def maximal_safe_walks(
     One Eulerian circuit is built and cut at every occurrence of a
     non-forcing node, keeping a copy of the node as an endpoint of both
     neighboring segments. If there is no cutting point the circuit is
-    unique and reported whole. With ``norm_map`` the walks are projected
-    back to original edge ids.
+    unique and reported whole. Multigraphs are taken as they are;
+    ``norm_map``, from :func:`~eulersafe.oracles.normalize`, projects walks
+    over a normalized graph back to the original edge ids.
     """
     _, _, in_a = _node_class_arrays(g)
     circuit = _hierholzer(g, rng=rng)

@@ -30,12 +30,6 @@ class UGraph:
     def num_nodes(self) -> int:
         return len(self.labels)
 
-    def neighbors(self, label: str):
-        """(neighbor label, edge id) pairs incident to ``label``."""
-        v = self.index[label]
-        for i in range(self.off[v], self.off[v + 1]):
-            yield self.labels[self.nbr[i]], self.eid[i]
-
 
 def underlying_undirected(g: Graph) -> UGraph:
     """Drop edge orientations, keeping multiplicity and edge ids."""

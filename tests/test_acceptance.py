@@ -102,8 +102,7 @@ def test_conservation(corpus_5):
     for _ in range(1000):
         edges = random_eulerian_edges(rng.randint(2, 12), rng.randint(1, 4), seed=rng)
         g = Graph(edges)
-        ng, nm = normalize(g)
-        report = maximal_safe_walks(ng, norm_map=nm)
+        report = maximal_safe_walks(g)
         assert report.total_edge_length == g.num_edges
         assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges))
         checked += 1
@@ -111,11 +110,11 @@ def test_conservation(corpus_5):
 
 
 def _pipeline_seconds(g: Graph) -> float:
-    # maximal_safe_walks spans the whole pipeline: node classification
-    # (degrees + cut nodes), circuit construction, cutting, and the report.
-    ng, nm = normalize(g)
+    # maximal_safe_walks on the raw multigraph spans the whole pipeline:
+    # node classification (degrees, cut nodes, loops), circuit
+    # construction, cutting, and the report.
     start = time.perf_counter()
-    maximal_safe_walks(ng, norm_map=nm)
+    maximal_safe_walks(g)
     return time.perf_counter() - start
 
 
@@ -123,8 +122,12 @@ def test_linear_time_scaling():
     """~10x more edges must cost at most 15x wall time, under 5s total."""
     small = Graph(random_eulerian_edges(2000, 100, seed=7))
     large = Graph(random_eulerian_edges(2000, 1000, seed=7))
-    t_small = min(_pipeline_seconds(small) for _ in range(3))
-    t_large = min(_pipeline_seconds(large) for _ in range(3))
+    # Alternate the samples, so that a burst of load from elsewhere slows
+    # both sizes rather than one.
+    t_small = t_large = float("inf")
+    for _ in range(3):
+        t_small = min(t_small, _pipeline_seconds(small))
+        t_large = min(t_large, _pipeline_seconds(large))
     ratio = (t_large / t_small) / (large.num_edges / small.num_edges) * 10
     assert t_large < 5.0
     assert ratio <= 15.0

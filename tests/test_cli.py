@@ -271,6 +271,14 @@ class TestLargeAndMalformedInput:
         assert result.stderr.startswith("error: exact count refused")
         assert result.stderr.count("\n") == 1
 
+    def test_oracle_compare_long_ring_is_refused(self, graph_file):
+        # The dense BEST oracle would need a 1499-row determinant.
+        text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
+        result = run_cli("oracle-compare", graph_file(text), "--max-edges", "5000")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: oracle comparison refused")
+        assert result.stderr.count("\n") == 1
+
 
 class TestGen:
     def test_deterministic_output(self, capsys):

@@ -7,6 +7,7 @@ from eulersafe import (
     ContractError,
     Graph,
     SafePairChecker,
+    SafetyEvidence,
     canonical_rotation,
     classify_nodes,
     has_unique_eulerian_circuit,
@@ -46,9 +47,12 @@ class TestClassifyNodes:
         for c in classes.values():
             assert (c.degree, c.is_cut, c.in_a) == (2, False, False)
 
-    def test_rejects_multigraph(self):
-        with pytest.raises(ContractError, match="normalized"):
-            classify_nodes(Graph([("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")]))
+    def test_self_loop_forces_degree_two_node(self):
+        classes = classify_nodes(Graph([("a", "a"), ("a", "b"), ("b", "a")]))
+        a = classes["a"]
+        assert (a.degree, a.is_cut, a.in_a) == (2, False, True)
+        assert classify_nodes(Graph([("a", "a")] * 2))["a"].in_a
+        assert not classify_nodes(Graph([("a", "a")] * 3))["a"].in_a
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ContractError, match="not Eulerian"):
@@ -89,6 +93,15 @@ class TestSafePair:
         evidence = is_safe_pair(bidirected_triangle, 0, 2)
         assert not evidence.safe
         assert evidence.reason == "not-forced"
+
+    def test_self_loop_is_its_own_side(self):
+        # Edges: 0 = a->a, 1 = a->b, 2 = b->a; every circuit is 0 1 2.
+        checker = SafePairChecker(Graph([("a", "a"), ("a", "b"), ("b", "a")]))
+        assert checker.check(2, 0) == SafetyEvidence(True, "cut-split", 0, 1)
+        assert checker.check(0, 1) == SafetyEvidence(True, "cut-split", 1, 0)
+        assert checker.check(2, 1) == SafetyEvidence(False, "not-in-any-circuit", 0, 0)
+        two_loops = SafePairChecker(Graph([("a", "a")] * 2))
+        assert two_loops.check(0, 1) == SafetyEvidence(True, "cut-split", 0, 1)
 
     def test_edges_missing(self, triangle):
         evidence = is_safe_pair(triangle, 0, 9)
@@ -251,6 +264,63 @@ class TestMaximalSafeWalks:
         assert sorted(report.walks[0]) == [0, 1, 2]
         assert report.total_edge_length == 3
 
-    def test_rejects_raw_multigraph(self):
-        with pytest.raises(ContractError, match="normalized"):
-            maximal_safe_walks(Graph([("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")]))
+
+def raw_multigraphs(count: int, seed: int):
+    """Seeded Eulerian multigraphs as shuffled unions of random closed
+    walks, so self-loops, parallel and antiparallel edges all occur; then
+    the single node with 1 to 5 self-loops."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        edges = []
+        for _ in range(rng.randint(1, 4)):
+            walk = [rng.choice("abcde") for _ in range(rng.randint(1, 5))]
+            edges += [(walk[i - 1], walk[i]) for i in range(len(walk))]
+        rng.shuffle(edges)
+        g = Graph(edges)
+        if is_eulerian(g):
+            found += 1
+            yield g
+    for d in range(1, 6):
+        yield Graph([("a", "a")] * d)
+
+
+def test_raw_multigraphs_match_normalized_pipeline():
+    """On raw multigraphs every answer equals the one obtained by first
+    rewriting loops and parallel edges into two-edge paths."""
+    graphs = pairs = 0
+    for g in raw_multigraphs(1000, seed=20261017):
+        ng, nm = normalize(g)
+        edges = list(g.edge_pairs())
+        report = maximal_safe_walks(g)
+        assert report == maximal_safe_walks(ng, norm_map=nm), edges
+        if g.num_edges <= 8:
+            assert walk_multiset(report) == walk_multiset(brute_force_safe_walks(g)), edges
+        assert has_unique_eulerian_circuit(g) == report.unique_circuit
+        assert has_unique_eulerian_circuit(g) == has_unique_eulerian_circuit(ng), edges
+        classes = classify_nodes(g)
+        normalized_classes = classify_nodes(ng)
+        for label, c in classes.items():
+            assert c.in_a == normalized_classes[label].in_a, (edges, label)
+        # An original edge enters its head through its last normalized
+        # piece and leaves its tail through its first.
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        for k, e in enumerate(nm.origin):
+            first.setdefault(e, k)
+            last[e] = k
+        checker = SafePairChecker(g)
+        normalized_checker = SafePairChecker(ng)
+        for e1 in range(g.num_edges):
+            for e2 in g.out_adj[g.heads[e1]]:
+                if e1 == e2:
+                    continue
+                native = checker.check(e1, e2)
+                expected = normalized_checker.check(last[e1], first[e2])
+                assert (native.safe, native.reason) == (expected.safe, expected.reason), (
+                    edges, e1, e2,
+                )
+                pairs += 1
+        graphs += 1
+    assert graphs == 1005
+    print(f"\n{graphs} raw multigraphs, {pairs} consecutive pairs: 0 divergences")
