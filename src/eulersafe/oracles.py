@@ -17,7 +17,7 @@ from itertools import combinations
 from math import factorial
 from typing import Optional, Sequence
 
-from .circuit import _bareiss_determinant
+from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
 from .graph import Circuit, ContractError, Graph, GraphError, require_eulerian
 from .safety import SafeWalkReport
 
@@ -293,6 +293,21 @@ def count_arborescences(g: Graph, root: str) -> int:
         if i != r
     ]
     return _bareiss_determinant(minor)
+
+
+def require_best_size(g: Graph) -> None:
+    """Raise :class:`ContractError` if :func:`count_best` on ``g`` would
+    take a determinant with more rows than :data:`MAX_BLOCK_NODES`, the
+    bound of one block of the production counter.
+
+    :func:`count_best` does not call this itself yet: the benchmark's
+    per-layer trace times it on larger count inputs (ROADMAP item 3).
+    """
+    if g.num_nodes - 1 > MAX_BLOCK_NODES:
+        raise ContractError(
+            f"oracle comparison refused: count_best would take a {g.num_nodes - 1}-row "
+            f"determinant, above the bound of {MAX_BLOCK_NODES}"
+        )
 
 
 def count_best(g: Graph) -> CountReport:

@@ -59,9 +59,11 @@ class SafetyEvidence:
     """Verdict for one consecutive edge pair, with the reason it holds.
 
     Reason codes: ``degree-one``, ``cut-split``, ``degree-too-high``,
-    ``not-forced`` (middle node has degree 2 but is not a cut node),
-    ``not-in-any-circuit`` (endpoints on the same side of the cut) and
-    ``edges-missing``. Component ids are filled in for the cut cases.
+    ``not-forced`` (middle node has degree 2, is not a cut node and carries
+    no self-loop), ``not-in-any-circuit`` (both edges on the same side of
+    the middle node) and ``edges-missing``. Side ids are filled in for the
+    ``cut-split`` and ``not-in-any-circuit`` cases: the components of G - v,
+    then each self-loop at v as a side of its own, numbered after them.
     """
 
     safe: bool

@@ -271,6 +271,12 @@ class TestLargeAndMalformedInput:
         assert result.stderr.startswith("error: exact count refused")
         assert result.stderr.count("\n") == 1
 
+    def test_oracle_compare_many_loops_is_skipped(self, graph_file):
+        # 14 raw edges but 13! circuits; normalized, the loops count twice.
+        result = run_cli("oracle-compare", graph_file("a a\n" * 14))
+        assert result.returncode == 0
+        assert result.stdout == "skipped: enumeration infeasible (|E|=28 after normalization > 14)\n"
+
     def test_oracle_compare_long_ring_is_refused(self, graph_file):
         # The dense BEST oracle would need a 1499-row determinant.
         text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
