@@ -56,7 +56,6 @@ from .safety import (
 )
 from .undirected import (
     ComponentSplit,
-    UGraph,
     articulation_points,
     component_split,
     underlying_undirected,
@@ -79,7 +78,6 @@ __all__ = [
     "SafePairChecker",
     "SafeWalkReport",
     "SafetyEvidence",
-    "UGraph",
     "articulation_points",
     "brute_force_safe_walks",
     "canonical_rotation",

@@ -7,8 +7,8 @@ from collections import Counter
 from math import factorial
 from typing import Optional, Sequence
 
-from .graph import Circuit, ContractError, Graph, is_eulerian, require_eulerian
-from .undirected import edge_blocks, underlying_undirected
+from .graph import Circuit, ContractError, Graph, is_eulerian
+from .undirected import edge_blocks
 
 # Bound on the dense determinants of count_circuits: the reduced blocks'
 # kept-node counts k must satisfy sum(k**3) <= MAX_BLOCK_NODES**3, so the
@@ -48,15 +48,16 @@ def _hierholzer(
 ) -> Circuit:
     """Hierholzer core; assumes the graph is already known to be Eulerian."""
     heads = g.heads
-    if rng is None:
-        out_adj = g.out_adj
-    else:
-        out_adj = [list(edges) for edges in g.out_adj]
-        for edges in out_adj:
-            rng.shuffle(edges)
+    out_end = g.out_end
+    out = g.eid
+    if rng is not None:
+        out = list(out)
+        for start, end in zip(g.off, out_end):
+            part = out[start:end]
+            rng.shuffle(part)
+            out[start:end] = part
     m = g.num_edges
-    degree = [len(edges) for edges in out_adj]
-    cursor = [0] * g.num_nodes
+    cursor = list(g.off)
     # Parallel stacks (node, edge used to enter it). When a node has no
     # unused out-edge left, its entry edge is emitted; reversing at the end
     # yields the circuit with sub-tours spliced in place.
@@ -68,8 +69,8 @@ def _hierholzer(
     while node_stack:
         v = node_stack[-1]
         c = cursor[v]
-        if c < degree[v]:
-            e = out_adj[v][c]
+        if c < out_end[v]:
+            e = out[c]
             cursor[v] = c + 1
             node_stack.append(heads[e])
             edge_stack.append(e)
@@ -130,11 +131,10 @@ def count_circuits(g: Graph) -> int:
     the reduced blocks exceed the determinant bound of
     :data:`MAX_BLOCK_NODES`.
     """
-    require_eulerian(g)
+    block, count = edge_blocks(g)
     product = 1
-    for d, k in Counter(len(edges) for edges in g.out_adj).items():
+    for d, k in Counter(end - start for start, end in zip(g.off, g.out_end)).items():
         product *= factorial(d - 1) ** k
-    block, count = edge_blocks(underlying_undirected(g))
     members: list[list[int]] = [[] for _ in range(count)]
     for e, b in enumerate(block):
         if b >= 0:

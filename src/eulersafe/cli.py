@@ -2,8 +2,8 @@
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
-2 for usage, I/O, or parse errors and for a count or an oracle comparison
-refused by its size bound.
+2 for usage, I/O, or parse errors, for a count or an oracle comparison
+refused by its size bound, and for running out of memory.
 """
 from __future__ import annotations
 
@@ -236,6 +236,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,14 +1,23 @@
-"""Directed multigraph model: parsing, walks, Eulerian checks.
+"""Directed multigraph model: parsing, walks, and the one analysis pass.
 
-Node labels are opaque strings; internally they are mapped to dense integer
-ids so that every algorithm in the package can use plain array indexing.
-Edges are numbered 0..m-1 in insertion order, and every result refers to
-edges by those ids. Self-loops and parallel edges are ordinary edges.
+Node labels are opaque strings; they are interned to dense integer ids so
+that every algorithm in the package can use plain array indexing. Edges
+are numbered 0..m-1 in insertion order, and every result refers to edges
+by those ids. Self-loops and parallel edges are ordinary edges.
+
+A :class:`Graph` holds one adjacency structure, an incidence CSR whose
+out-edge part serves directed walks and whose two parts together are the
+underlying undirected graph. :func:`_analyse` is the one traversal: a
+balance scan, then one lowlink DFS that yields connectivity, DFS intervals
+and block openings. :func:`is_eulerian`, :func:`require_eulerian` and
+through them every analysis in the package run it once per call.
 """
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -27,45 +36,71 @@ class ContractError(GraphError):
 class Graph:
     """Immutable directed multigraph with stable edge identities.
 
-    ``labels[i]`` is the label of node id ``i`` (first-appearance order),
-    ``tails[e]``/``heads[e]`` are the endpoint ids of edge ``e``, and
-    ``out_adj[v]``/``in_adj[v]`` list the incident edge ids of ``v`` in
-    ascending order. Instances must not be mutated after construction; they
-    are safe to share between threads.
+    ``labels[i]`` is the label of node id ``i`` (first-appearance order) and
+    ``tails[e]``/``heads[e]`` are the endpoint ids of edge ``e``.
+
+    Incidences are stored once, as a CSR over node ids. Entries ``off[v]``
+    to ``off[v + 1] - 1`` of ``eid`` and ``nbr`` are the edge ends at ``v``:
+    first its out-edges, up to ``out_end[v]``, then its in-edges, each part
+    in ascending edge id. ``eid`` holds the edge id and ``nbr`` the other
+    endpoint, so a self-loop appears once in each part, with ``nbr`` equal
+    to ``v``. The out part serves directed walks; both parts together are
+    the underlying undirected graph. ``off[num_nodes]`` is ``2 * num_edges``.
+
+    Instances must not be mutated after construction; they are safe to
+    share between threads.
     """
 
-    __slots__ = ("labels", "index", "tails", "heads", "out_adj", "in_adj")
+    __slots__ = ("labels", "index", "tails", "heads", "off", "out_end", "nbr", "eid")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
-        labels: list[str] = []
         index: dict[str, int] = {}
-        # Compact int storage keeps large graphs cache-resident.
+        intern = index.setdefault
         tails = array("i")
         heads = array("i")
         for tail, head in edges:
-            t = index.get(tail)
-            if t is None:
-                t = index[tail] = len(labels)
-                labels.append(tail)
-            h = index.get(head)
-            if h is None:
-                h = index[head] = len(labels)
-                labels.append(head)
-            tails.append(t)
-            heads.append(h)
+            tails.append(intern(tail, len(index)))
+            heads.append(intern(head, len(index)))
         if not tails:
             raise GraphError("graph must have at least one edge")
-        out_adj: list[list[int]] = [[] for _ in labels]
-        in_adj: list[list[int]] = [[] for _ in labels]
-        for e in range(len(tails)):
-            out_adj[tails[e]].append(e)
-            in_adj[heads[e]].append(e)
-        self.labels = labels
+        self._store(index, tails, heads)
+
+    def _store(self, index: dict[str, int], tails: array, heads: array) -> None:
+        """Keep the interned edges and fill the CSR: count, then place."""
+        n = len(index)
+        m = len(tails)
+        out_degree = [0] * n
+        for t in tails:
+            out_degree[t] += 1
+        degree = out_degree.copy()
+        for h in heads:
+            degree[h] += 1
+        off = array("i", [0])
+        off.extend(accumulate(degree))
+        out_end = array("i", map(add, off, out_degree))
+        next_out = list(off[:-1])
+        next_in = list(out_end)
+        nbr = [0] * (2 * m)
+        eid = [0] * (2 * m)
+        e = 0
+        for t, h in zip(tails, heads):
+            p = next_out[t]
+            nbr[p] = h
+            eid[p] = e
+            next_out[t] = p + 1
+            p = next_in[h]
+            nbr[p] = t
+            eid[p] = e
+            next_in[h] = p + 1
+            e += 1
+        self.labels = list(index)
         self.index = index
         self.tails = tails
         self.heads = heads
-        self.out_adj = out_adj
-        self.in_adj = in_adj
+        self.off = off
+        self.out_end = out_end
+        self.nbr = array("i", nbr)
+        self.eid = array("i", eid)
 
     @property
     def num_nodes(self) -> int:
@@ -132,22 +167,28 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are skipped. Raises
     :class:`ParseError` on a malformed line (with its 1-based number) or on
-    an empty edge set.
+    an empty edge set. Labels are interned straight into the graph's edge
+    arrays.
     """
-    edges: list[tuple[str, str]] = []
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    tails = array("i")
+    heads = array("i")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(
                 f"line {lineno}: expected 'tail head', got {len(tokens)} token(s)"
             )
-        edges.append((tokens[0], tokens[1]))
-    if not edges:
+        tails.append(intern(tokens[0], len(index)))
+        heads.append(intern(tokens[1], len(index)))
+    if not tails:
         raise ParseError("graph must have at least one edge")
-    return Graph(edges)
+    g = Graph.__new__(Graph)
+    g._store(index, tails, heads)
+    return g
 
 
 @dataclass(frozen=True)
@@ -163,6 +204,96 @@ class EulerCheck:
         return self.ok
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Result of the one analysis pass over a graph.
+
+    ``check`` is the Euler verdict. When it holds, the other fields describe
+    the lowlink DFS of the underlying undirected graph from node 0, per node
+    id: discovery time ``disc``; ``fin``, one past the last discovery time
+    in the node's subtree, so the subtree is the nodes whose ``disc`` lies
+    in ``[disc[v], fin[v])``; DFS-tree ``parent`` (-1 for the root);
+    ``opens[w]``, whether the tree edge into ``w`` starts a new biconnected
+    block; and ``cut``, whether the node is a cut node. When the check
+    fails they are empty.
+    """
+
+    check: EulerCheck
+    disc: list[int]
+    fin: list[int]
+    parent: list[int]
+    opens: list[bool]
+    cut: list[bool]
+
+
+def _analyse(g: Graph) -> Analysis:
+    """The one validation-and-analysis pass, O(|E|).
+
+    First the balance scan: the first node in id order whose out-degree
+    differs from its in-degree fails the check. Then one iterative lowlink
+    DFS (Hopcroft-Tarjan) from node 0 over both parts of the CSR; the
+    lowest-id node it does not reach fails the check. Only the specific
+    edge used to enter a node is skipped when updating lowlinks, so a
+    parallel copy of the tree edge acts as a back edge and a doubled edge
+    never separates its endpoints. A non-root node is a cut node iff some
+    child opens a block below it; the root iff it has more than one child.
+    """
+    n = g.num_nodes
+    off = g.off
+    labels = g.labels
+    for v, (start, mid, stop) in enumerate(zip(off, g.out_end, off[1:])):
+        if mid - start != stop - mid:
+            detail = f"node '{labels[v]}' has out-degree {mid - start} and in-degree {stop - mid}"
+            return Analysis(EulerCheck(False, "unbalanced", labels[v], detail), [], [], [], [], [])
+    nbr = g.nbr
+    eid = g.eid
+    disc = [-1] * n
+    fin = [0] * n
+    parent = [-1] * n
+    opens = [False] * n
+    cut = [False] * n
+    # Every ancestor of the running node waits on the stack as (node, next
+    # entry to scan, lowlink so far, edge used to enter it). The running
+    # node's state lives in locals, so back edges never touch the stack.
+    stack: list[tuple[int, int, int, int]] = []
+    disc[0] = 0
+    timer = 1
+    v, i, end, lv, entered = 0, off[0], off[1], 0, -1
+    while True:
+        while i < end:
+            w = nbr[i]
+            dw = disc[w]
+            if dw < 0:
+                break
+            if dw < lv and eid[i] != entered:
+                lv = dw
+            i += 1
+        else:
+            fin[v] = timer
+            if not stack:
+                break
+            child_low = lv
+            p, i, lv, entered = stack.pop()
+            if child_low >= disc[p]:
+                opens[v] = cut[p] = True
+            elif child_low < lv:
+                lv = child_low
+            v, end = p, off[p + 1]
+            continue
+        stack.append((v, i + 1, lv, entered))
+        parent[w] = v
+        entered = eid[i]
+        disc[w] = lv = timer
+        timer += 1
+        v, i, end = w, off[w], off[w + 1]
+    if timer != n:
+        witness = labels[disc.index(-1)]
+        detail = f"node '{witness}' is not reachable from '{labels[0]}' ignoring directions"
+        return Analysis(EulerCheck(False, "not-weakly-connected", witness, detail), [], [], [], [], [])
+    cut[0] = parent.count(0) > 1
+    return Analysis(EulerCheck(True), disc, fin, parent, opens, cut)
+
+
 def is_eulerian(g: Graph) -> EulerCheck:
     """Check balanced degrees and weak connectivity.
 
@@ -170,56 +301,13 @@ def is_eulerian(g: Graph) -> EulerCheck:
     all edges lie in one weakly connected component. On failure the first
     violated condition is named together with a witness node.
     """
-    out_adj = g.out_adj
-    in_adj = g.in_adj
-    for v in range(g.num_nodes):
-        if len(out_adj[v]) != len(in_adj[v]):
-            label = g.labels[v]
-            return EulerCheck(
-                False,
-                reason="unbalanced",
-                witness=label,
-                detail=(
-                    f"node '{label}' has out-degree {len(out_adj[v])} "
-                    f"and in-degree {len(in_adj[v])}"
-                ),
-            )
-    # Weak connectivity: every node is an edge endpoint, so reaching all
-    # nodes from node 0 over undirected adjacency is equivalent.
-    n = g.num_nodes
-    tails = g.tails
-    heads = g.heads
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        v = stack.pop()
-        for e in out_adj[v]:
-            w = heads[e]
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-        for e in in_adj[v]:
-            w = tails[e]
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    if reached != n:
-        witness = next(g.labels[v] for v in range(n) if not seen[v])
-        return EulerCheck(
-            False,
-            reason="not-weakly-connected",
-            witness=witness,
-            detail=f"node '{witness}' is not reachable from '{g.labels[0]}' ignoring directions",
-        )
-    return EulerCheck(True)
+    return _analyse(g).check
 
 
-def require_eulerian(g: Graph) -> None:
-    """Raise :class:`ContractError` naming the failed condition if not Eulerian."""
-    check = is_eulerian(g)
-    if not check.ok:
-        raise ContractError(f"graph is not Eulerian: {check.detail}")
+def require_eulerian(g: Graph) -> Analysis:
+    """Run the analysis pass; raise :class:`ContractError` naming the failed
+    condition if the graph is not Eulerian."""
+    analysis = _analyse(g)
+    if not analysis.check.ok:
+        raise ContractError(f"graph is not Eulerian: {analysis.check.detail}")
+    return analysis

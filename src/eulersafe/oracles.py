@@ -206,28 +206,30 @@ def _for_each_circuit(g: Graph, visit) -> None:
     require_eulerian(g)
     m = g.num_edges
     heads = g.heads
-    out_adj = g.out_adj
+    off = g.off
+    out_end = g.out_end
+    out = g.eid
     start = g.tails[0]
     used = bytearray(m)
     used[0] = 1
     path = [0]
-    # cursor[i]: next position to try in the out-edges of heads[path[i]].
-    cursor = [0]
+    # cursor[i]: next CSR entry to try among the out-edges of heads[path[i]].
+    cursor = [off[heads[0]]]
     while path:
         if len(path) == m:
             if heads[path[-1]] == start and not visit(path):
                 return
         else:
-            adj = out_adj[heads[path[-1]]]
+            end = out_end[heads[path[-1]]]
             i = cursor[-1]
-            while i < len(adj) and used[adj[i]]:
+            while i < end and used[out[i]]:
                 i += 1
-            if i < len(adj):
+            if i < end:
                 cursor[-1] = i + 1
-                e = adj[i]
+                e = out[i]
                 used[e] = 1
                 path.append(e)
-                cursor.append(0)
+                cursor.append(off[heads[e]])
                 continue
         cursor.pop()
         used[path.pop()] = 0
@@ -318,8 +320,8 @@ def count_best(g: Graph) -> CountReport:
     root = g.labels[0]
     t = count_arborescences(g, root)
     product = 1
-    for edges in g.out_adj:
-        product *= factorial(len(edges) - 1)
+    for start, end in zip(g.off, g.out_end):
+        product *= factorial(end - start - 1)
     return CountReport(
         epsilon=t * product,
         t=t,
@@ -401,9 +403,10 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
     m = g.num_edges
     tails = g.tails
     heads = g.heads
-    out_adj = g.out_adj
+    out_end = g.out_end
+    out = g.eid
     labels = g.labels
-    cursor = [0] * g.num_nodes
+    cursor = list(g.off)
     used = bytearray(m)
     cycles_nodes: list[tuple[str, ...]] = []
     cycles_edges: list[tuple[int, ...]] = []
@@ -416,17 +419,17 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
         pos = {start: 0}
         cur = start
         while True:
-            adj = out_adj[cur]
+            end = out_end[cur]
             c = cursor[cur]
-            while c < len(adj) and used[adj[c]]:
+            while c < end and used[out[c]]:
                 c += 1
             cursor[cur] = c
-            if c == len(adj):
+            if c == end:
                 # In a balanced graph a walk can only get stuck back at its
                 # start with everything already peeled.
                 assert not path_edges
                 break
-            e = adj[c]
+            e = out[c]
             cursor[cur] = c + 1
             used[e] = 1
             path_edges.append(e)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .circuit import _hierholzer
-from .graph import ContractError, Graph, require_eulerian
-from .undirected import ComponentSplit, UGraph, articulation_flags, component_split, underlying_undirected
+from .graph import Analysis, ContractError, Graph, require_eulerian
 
 if TYPE_CHECKING:
     from .oracles import NormalizationMap
@@ -62,8 +61,11 @@ class SafetyEvidence:
     ``not-forced`` (middle node has degree 2, is not a cut node and carries
     no self-loop), ``not-in-any-circuit`` (both edges on the same side of
     the middle node) and ``edges-missing``. Side ids are filled in for the
-    ``cut-split`` and ``not-in-any-circuit`` cases: the components of G - v,
-    then each self-loop at v as a side of its own, numbered after them.
+    ``cut-split`` and ``not-in-any-circuit`` cases. They number the
+    components of G - v in order of first discovery by the analysis DFS
+    from node 0: 0 is the rest, the component holding node 0, when v is
+    not node 0; then each child subtree of v that opens a block, in DFS
+    order; then each self-loop at v, a side of its own, in edge-id order.
     """
 
     safe: bool
@@ -72,38 +74,26 @@ class SafetyEvidence:
     component_w: Optional[int] = None
 
 
-def _node_class_arrays(g: Graph) -> tuple[list[int], list[bool], list[bool]]:
-    """(degree, cut flag, forcing flag) per node id; validates contracts."""
-    out_adj = g.out_adj
-    in_adj = g.in_adj
-    for v in range(g.num_nodes):
-        if len(out_adj[v]) != len(in_adj[v]):
-            raise ContractError(
-                f"graph is not Eulerian: node '{g.labels[v]}' has out-degree "
-                f"{len(out_adj[v])} and in-degree {len(in_adj[v])}"
-            )
-    # The cut-node DFS doubles as the weak-connectivity part of the
-    # Eulerian check, avoiding a separate traversal.
-    try:
-        cut = articulation_flags(underlying_undirected(g))
-    except ContractError:
-        raise ContractError(
-            "graph is not Eulerian: the underlying undirected graph is not connected"
-        ) from None
-    degrees = [len(edges) for edges in out_adj]
-    heads = g.heads
+def _node_class_arrays(g: Graph, a: Analysis) -> tuple[list[int], list[bool]]:
+    """(degree, forcing flag) per node id, from the analysis pass."""
+    off = g.off
+    nbr = g.nbr
+    degrees = [end - start for start, end in zip(off, g.out_end)]
+    # At a degree-2 node the out part is off[v], off[v] + 1; a loop there
+    # has the node itself as the other end.
     in_a = [
-        d == 1 or (d == 2 and (cut[v] or heads[out[0]] == v or heads[out[1]] == v))
-        for v, (d, out) in enumerate(zip(degrees, out_adj))
+        d == 1 or (d == 2 and (a.cut[v] or nbr[off[v]] == v or nbr[off[v] + 1] == v))
+        for v, d in enumerate(degrees)
     ]
-    return degrees, cut, in_a
+    return degrees, in_a
 
 
 def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     """Degree, cut-node status and forcing membership for every node."""
-    degrees, cut, in_a = _node_class_arrays(g)
+    a = require_eulerian(g)
+    degrees, in_a = _node_class_arrays(g, a)
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=cut[v], in_a=in_a[v])
+        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v], in_a=in_a[v])
         for v, label in enumerate(g.labels)
     }
 
@@ -111,30 +101,44 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
 class SafePairChecker:
     """Answers consecutive-pair safety queries against one graph.
 
-    The node classification is computed once; component splits are computed
-    per queried forcing degree-2 node and cached, so a batch of queries over
-    the same graph costs O(|E|) per distinct such node.
+    Construction runs the analysis pass once, O(|E|). Each query then takes
+    O(1): the sides of a forcing degree-2 node are read off the DFS
+    intervals of that pass (Tarjan's technique), and such a node has at
+    most four edge ends to look at.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self._degrees, _, self._in_a = _node_class_arrays(g)
-        self._u: Optional[UGraph] = None
-        self._splits: dict[int, ComponentSplit] = {}
+        self._a = require_eulerian(g)
+        self._degrees, self._in_a = _node_class_arrays(g, self._a)
 
     def _side(self, v: int, e: int, w: int) -> int:
         """The side of ``v`` that edge ``e`` reaches through its other end
-        ``w``: the component of G - v holding ``w``. A self-loop is a side
-        of its own, numbered after those components."""
-        split = self._splits.get(v)
-        if split is None:
-            if self._u is None:
-                self._u = underlying_undirected(self.g)
-            split = self._splits[v] = component_split(self._u, self.g.labels[v])
-        if w != v:
-            return split.component[self.g.labels[w]]
-        loops = [f for f in self.g.out_adj[v] if self.g.heads[f] == v]
-        return split.count + loops.index(e)
+        ``w``, numbered as :class:`SafetyEvidence` describes.
+
+        ``w`` lies in the subtree of the child ``c`` of ``v`` whose
+        ``[disc, fin)`` interval holds ``disc[w]``. That subtree is a side
+        of its own iff ``c`` opens a block; otherwise a back edge joins it
+        to the rest, as it does every node outside the subtree of ``v``.
+        """
+        g = self.g
+        a = self._a
+        disc = a.disc
+        start, stop = g.off[v], g.off[v + 1]
+        children = sorted(
+            {c for c in g.nbr[start:stop] if a.parent[c] == v and a.opens[c]},
+            key=disc.__getitem__,
+        )
+        first = 1 if v else 0  # node 0, the DFS root, has no rest
+        if w == v:
+            out = range(start, g.out_end[v])
+            loops = [g.eid[i] for i in out if g.nbr[i] == v]
+            return first + len(children) + loops.index(e)
+        dw = disc[w]
+        for k, c in enumerate(children):
+            if disc[c] <= dw < a.fin[c]:
+                return first + k
+        return 0
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
         g = self.g
@@ -172,10 +176,7 @@ def is_safe_pair(g: Graph, e1: int, e2: int) -> SafetyEvidence:
 def has_unique_eulerian_circuit(g: Graph) -> bool:
     """Decide uniqueness of the Eulerian circuit in O(|E|): it is unique iff
     every node is forcing."""
-    require_eulerian(g)
-    if any(len(edges) > 2 for edges in g.out_adj):
-        return False  # a node of degree 3 or more never forces
-    return all(_node_class_arrays(g)[2])
+    return all(_node_class_arrays(g, require_eulerian(g))[1])
 
 
 def maximal_safe_walks(
@@ -192,7 +193,7 @@ def maximal_safe_walks(
     ``norm_map``, from :func:`~eulersafe.oracles.normalize`, projects walks
     over a normalized graph back to the original edge ids.
     """
-    _, _, in_a = _node_class_arrays(g)
+    _, in_a = _node_class_arrays(g, require_eulerian(g))
     circuit = _hierholzer(g, rng=rng)
     edges = circuit.edges
     tails = g.tails

@@ -16,7 +16,6 @@ from eulersafe import (
     normalize,
     random_eulerian_edges,
     swap_at_node,
-    underlying_undirected,
     verify_circuit,
 )
 from eulersafe.oracles import (
@@ -146,7 +145,7 @@ def test_swap_property():
     while checked < 200:
         edges = random_eulerian_edges(rng.randint(3, 8), rng.randint(2, 4), seed=rng)
         g, _ = normalize(Graph(edges))
-        degrees = [len(a) for a in g.out_adj]
+        degrees = [end - start for start, end in zip(g.off, g.out_end)]
         d = max(degrees)
         if d < 3:
             continue
@@ -177,20 +176,17 @@ def test_cut_split_property(corpus_5):
     checked = 0
     for g in corpus_5:
         classes = classify_nodes(g)
-        u = None
         for label, cls in classes.items():
             if not (cls.degree == 2 and cls.is_cut):
                 continue
-            if u is None:
-                u = underlying_undirected(g)
-            split = component_split(u, label)
+            split = component_split(g, label)
             assert split.count == 2
             v = g.index[label]
             out_comps = sorted(
-                split.component[g.labels[g.heads[e]]] for e in g.out_adj[v]
+                split.component[g.labels[g.nbr[i]]] for i in range(g.off[v], g.out_end[v])
             )
             in_comps = sorted(
-                split.component[g.labels[g.tails[e]]] for e in g.in_adj[v]
+                split.component[g.labels[g.nbr[i]]] for i in range(g.out_end[v], g.off[v + 1])
             )
             assert out_comps == [0, 1]
             assert in_comps == [0, 1]

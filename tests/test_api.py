@@ -1,0 +1,35 @@
+"""The benchmark's per-layer trace and pair script find every public name
+they call, so no per-layer metric goes absent when the API is pruned."""
+import ast
+import sys
+from pathlib import Path
+
+import eulersafe
+from eulersafe import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path[:0] = [str(BENCH)]
+
+import layers  # noqa: E402
+
+
+def test_layer_names_are_exported():
+    names = {name for step in (*layers.NEEDS.values(), *layers.PEAKS.values()) for name in step}
+    # cli.main is looked up on the cli module, not in __all__.
+    assert "cli.main" in names and callable(cli.main)
+    names.discard("cli.main")
+    assert sorted(names - set(eulersafe.__all__)) == []
+    absent = [m for m, step in {**layers.NEEDS, **layers.PEAKS}.items() if not layers.available(step)]
+    assert absent == []
+
+
+def test_pair_script_names_are_exported():
+    tree = ast.parse((BENCH / "pairs.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "eulersafe"
+        for alias in node.names
+    }
+    assert imported
+    assert sorted(imported - set(eulersafe.__all__)) == []

@@ -156,7 +156,7 @@ class TestSwapAtNode:
         while tried < 40:
             edges = random_eulerian_edges(5, 3, seed=rng)
             g, _ = normalize(Graph(edges))
-            degrees = [len(a) for a in g.out_adj]
+            degrees = [end - start for start, end in zip(g.off, g.out_end)]
             if max(degrees) < 3:
                 continue
             tried += 1

@@ -65,6 +65,40 @@ class TestUnique:
         assert "not Eulerian" in capsys.readouterr().err
 
 
+NOT_EULERIAN = {
+    "unbalanced": ("a b\nb a\nb c\n", "node 'b' has out-degree 2 and in-degree 1"),
+    "disconnected": (
+        "a b\nb a\nx y\ny x\n",
+        "node 'x' is not reachable from 'a' ignoring directions",
+    ),
+}
+
+
+class TestNotEulerian:
+    """Every command reads the one analysis pass, so each names the same
+    witness for the same input."""
+
+    @pytest.mark.parametrize("kind", sorted(NOT_EULERIAN))
+    @pytest.mark.parametrize(
+        "command",
+        [["unique"], ["safe"], ["safe", "--format", "structured"], ["count"], ["oracle-compare"]],
+        ids=["unique", "safe", "safe-structured", "count", "oracle-compare"],
+    )
+    def test_error_names_the_witness(self, graph_file, capsys, command, kind):
+        text, detail = NOT_EULERIAN[kind]
+        assert cli.main([command[0], graph_file(text), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: graph is not Eulerian: {detail}\n"
+
+    @pytest.mark.parametrize("kind", sorted(NOT_EULERIAN))
+    def test_check_prints_the_same_detail(self, graph_file, capsys, kind):
+        text, detail = NOT_EULERIAN[kind]
+        assert cli.main(["check", graph_file(text)]) == 1
+        reason = "unbalanced" if kind == "unbalanced" else "not-weakly-connected"
+        assert capsys.readouterr().out == f"not eulerian: {reason} ({detail})\n"
+
+
 class TestSafe:
     def test_text_format(self, graph_file, capsys):
         assert cli.main(["safe", graph_file(FIGURE_EIGHT)]) == 0
@@ -223,6 +257,16 @@ def cactus_edges(num_nodes: int, seed: int) -> list[tuple[str, str]]:
 class TestLargeAndMalformedInput:
     """Inputs that once ended in a traceback, an OOM kill or no answer
     within a minute."""
+
+    def test_out_of_memory_is_one_line(self, graph_file, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_count", exhausted)
+        assert cli.main(["count", graph_file(TRIANGLE)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory\n"
 
     def test_count_long_ring(self, graph_file):
         result = run_cli("count", graph_file("".join(f"r{i} r{(i + 1) % 3000}\n" for i in range(3000))))

@@ -155,7 +155,7 @@ class TestEdgeBlocks:
 
     def test_disconnected_rejected(self):
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
-        with pytest.raises(ContractError, match="not connected"):
+        with pytest.raises(ContractError, match="node 'x' is not reachable"):
             edge_blocks(underlying_undirected(g))
 
     def test_matches_brute_force_on_corpus(self, corpus_4):

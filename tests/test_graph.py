@@ -1,5 +1,6 @@
-"""Parsing, the multigraph model, normalization, and Eulerian checks."""
+"""Parsing, the multigraph model, normalization, and the analysis pass."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,14 +10,29 @@ from eulersafe import (
     Graph,
     GraphError,
     ParseError,
+    SafePairChecker,
+    count_circuits,
+    has_unique_eulerian_circuit,
     is_eulerian,
     is_valid_walk,
+    maximal_safe_walks,
     normalize,
     parse_edge_list,
     walk_nodes,
 )
+from eulersafe import graph
 from eulersafe.circuit import find_eulerian_circuit
 from eulersafe.oracles import is_simple
+
+
+def out_edges(g, v):
+    """Edge ids leaving node id ``v``, read from the CSR's out part."""
+    return list(g.eid[g.off[v] : g.out_end[v]])
+
+
+def in_edges(g, v):
+    """Edge ids entering node id ``v``, read from the CSR's in part."""
+    return list(g.eid[g.out_end[v] : g.off[v + 1]])
 
 
 class TestParseEdgeList:
@@ -58,17 +74,44 @@ class TestGraphModel:
     def test_adjacency_consistency(self):
         g = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
         for v in range(g.num_nodes):
-            for e in g.out_adj[v]:
+            for e in out_edges(g, v):
                 assert g.tails[e] == v
-            for e in g.in_adj[v]:
+            for e in in_edges(g, v):
                 assert g.heads[e] == v
-        assert sum(len(a) for a in g.out_adj) == g.num_edges
-        assert sum(len(a) for a in g.in_adj) == g.num_edges
+        assert sum(len(out_edges(g, v)) for v in range(g.num_nodes)) == g.num_edges
+        assert sum(len(in_edges(g, v)) for v in range(g.num_nodes)) == g.num_edges
 
     def test_degrees(self):
         g = Graph([("a", "b"), ("a", "b"), ("b", "a")])
         a = g.index["a"]
-        assert (len(g.out_adj[a]), len(g.in_adj[a])) == (2, 1)
+        assert (len(out_edges(g, a)), len(in_edges(g, a))) == (2, 1)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcd"), st.sampled_from("abcd")),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_csr_invariants(self, edges):
+        g = Graph(edges)
+        assert len(g.off) == g.num_nodes + 1
+        assert g.off[0] == 0 and g.off[g.num_nodes] == 2 * g.num_edges
+        for v in range(g.num_nodes):
+            # Out part first, then in part, each ascending by edge id.
+            assert g.off[v] <= g.out_end[v] <= g.off[v + 1]
+            outs = out_edges(g, v)
+            ins = in_edges(g, v)
+            assert outs == sorted(e for e in range(g.num_edges) if g.tails[e] == v)
+            assert ins == sorted(e for e in range(g.num_edges) if g.heads[e] == v)
+            # nbr holds the other endpoint; a self-loop is once in each part.
+            for i in range(g.off[v], g.out_end[v]):
+                assert g.nbr[i] == g.heads[g.eid[i]]
+            for i in range(g.out_end[v], g.off[v + 1]):
+                assert g.nbr[i] == g.tails[g.eid[i]]
+            loops = [e for e in range(g.num_edges) if g.tails[e] == g.heads[e] == v]
+            assert [e for e in outs if g.heads[e] == v] == loops
+            assert [e for e in ins if g.tails[e] == v] == loops
 
     def test_no_edges_rejected(self):
         with pytest.raises(GraphError):
@@ -119,7 +162,7 @@ class TestNormalize:
         ng, nm = normalize(g)
         for s in nm.subdivision_nodes:
             v = ng.index[s]
-            assert (len(ng.out_adj[v]), len(ng.in_adj[v])) == (1, 1)
+            assert (len(out_edges(ng, v)), len(in_edges(ng, v))) == (1, 1)
 
     def test_edge_and_node_bookkeeping(self):
         g = Graph([("a", "a"), ("a", "b"), ("a", "b"), ("b", "a")])
@@ -219,3 +262,81 @@ class TestIsEulerian:
     def test_requires_weak_not_strong_orientation(self):
         # Antiparallel pair: weakly and strongly connected, balanced.
         assert is_eulerian(Graph([("a", "b"), ("b", "a")])).ok
+
+
+def brute_force_verdict(g):
+    """(reason, witness) straight from the definition, from the edge list:
+    the first node in id order whose out- and in-degree differ, else the
+    lowest id not reachable from node 0 ignoring directions."""
+    n = g.num_nodes
+    pairs = list(zip(g.tails, g.heads))
+    for v in range(n):
+        if sum(t == v for t, _ in pairs) != sum(h == v for _, h in pairs):
+            return "unbalanced", g.labels[v]
+    seen = {0}
+    changed = True
+    while changed:
+        changed = False
+        for t, h in pairs:
+            if (t in seen) != (h in seen):
+                seen |= {t, h}
+                changed = True
+    unreached = [v for v in range(n) if v not in seen]
+    if unreached:
+        return "not-weakly-connected", g.labels[unreached[0]]
+    return None, None
+
+
+def test_witness_matches_brute_force():
+    rng = random.Random(20261018)
+    reasons = Counter()
+    for _ in range(2000):
+        # Closed walks over two label pools that may or may not touch, plus
+        # sometimes one stray edge that unbalances two nodes.
+        edges = []
+        for _ in range(rng.randint(1, 4)):
+            pool = rng.choice(("abcd", "wxyz", "dw"))
+            walk = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            edges += [(walk[i - 1], walk[i]) for i in range(len(walk))]
+        if rng.random() < 0.4:
+            edges.append((rng.choice("abcdwxyz"), rng.choice("abcdwxyz")))
+        rng.shuffle(edges)
+        g = Graph(edges)
+        check = is_eulerian(g)
+        assert (check.reason, check.witness) == brute_force_verdict(g), edges
+        assert check.ok == (check.reason is None)
+        reasons[check.reason] += 1
+    assert min(reasons.values()) > 200, reasons
+
+
+def pair_batch(g):
+    checker = SafePairChecker(g)
+    for e1 in range(g.num_edges):
+        for e2 in range(g.num_edges):
+            if e1 != e2 and g.heads[e1] == g.tails[e2]:
+                checker.check(e1, e2)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [has_unique_eulerian_circuit, maximal_safe_walks, count_circuits, pair_batch],
+    ids=["unique", "walks", "count", "pair-batch"],
+)
+def test_entry_points_run_the_pass_once(monkeypatch, entry):
+    calls = []
+    analyse = graph._analyse
+
+    def counted(g):
+        calls.append(g)
+        return analyse(g)
+
+    monkeypatch.setattr(graph, "_analyse", counted)
+    graphs = [
+        Graph([("v", "a"), ("a", "b"), ("b", "v"), ("v", "c"), ("c", "d"), ("d", "v")]),
+        Graph([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "c"), ("c", "a")]),
+        Graph([("a", "a"), ("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")]),
+    ]
+    for g in graphs:
+        calls.clear()
+        entry(g)
+        assert calls == [g]
