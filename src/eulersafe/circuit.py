@@ -38,15 +38,6 @@ def find_eulerian_circuit(
     check = is_eulerian(g)
     if not check.ok:
         raise ContractError(f"cannot build Eulerian circuit: {check.detail}")
-    return _hierholzer(g, rng=rng, stats=stats)
-
-
-def _hierholzer(
-    g: Graph,
-    rng: Optional[random.Random] = None,
-    stats: Optional[dict] = None,
-) -> Circuit:
-    """Hierholzer core; assumes the graph is already known to be Eulerian."""
     heads = g.heads
     out_end = g.out_end
     out = g.eid
@@ -56,7 +47,6 @@ def _hierholzer(
             part = out[start:end]
             rng.shuffle(part)
             out[start:end] = part
-    m = g.num_edges
     cursor = list(g.off)
     # Parallel stacks (node, edge used to enter it). When a node has no
     # unused out-edge left, its entry edge is emitted; reversing at the end
@@ -82,8 +72,6 @@ def _hierholzer(
                 emit(e)
     if stats is not None:
         stats["stack_pushes"] = pushes
-    if len(circuit) != m:
-        raise ContractError("graph is not Eulerian: some edges are unreachable")
     circuit.reverse()
     i = circuit.index(0)
     if i:

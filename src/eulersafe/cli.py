@@ -125,18 +125,18 @@ def cmd_oracle_compare(args) -> int:
     oracles.require_best_size(ng)
 
     failures = []
-    enumerated = oracles.enumerate_eulerian_circuits(g)
+    enumerated, _ = oracles.count_eulerian_circuits(g)
     best = oracles.count_best(ng)
     blocks = count_circuits(g)
     unique = safety.has_unique_eulerian_circuit(g)
-    if not blocks == best.epsilon == enumerated.count:
+    if not blocks == best.epsilon == enumerated:
         failures.append(
             f"circuit count: block factorization gives {blocks}, determinant formula "
-            f"gives {best.epsilon}, enumeration gives {enumerated.count}"
+            f"gives {best.epsilon}, enumeration gives {enumerated}"
         )
-    if unique != (enumerated.count == 1):
+    if unique != (enumerated == 1):
         failures.append(
-            f"uniqueness: linear-time verdict {unique}, enumeration count {enumerated.count}"
+            f"uniqueness: linear-time verdict {unique}, enumeration count {enumerated}"
         )
     report = safety.maximal_safe_walks(g)
     brute = oracles.brute_force_safe_walks(g)
@@ -148,10 +148,9 @@ def cmd_oracle_compare(args) -> int:
         )
     intersection = oracles.pevzner_intersection_graph(ng)
     if intersection.is_tree != unique:
-        # Advisory only: the cycle decomposition is not canonical.
-        print(
-            "warning: cycle-intersection tree test "
-            f"({intersection.is_tree}) diverges from uniqueness verdict ({unique})"
+        failures.append(
+            f"uniqueness: cycle-intersection tree test gives {intersection.is_tree}, "
+            f"linear-time verdict {unique}"
         )
     if failures:
         print(f"FAIL: {failures[0]}")

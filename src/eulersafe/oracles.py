@@ -395,8 +395,12 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
     Cycles are peeled by walking unused out-edges in ascending edge-id
     order until a node of the current walk repeats. Two cycles get one
     intersection edge per shared node; the uniqueness verdict is whether
-    the resulting multigraph is a tree. The verdict is advisory: the cycle
-    decomposition is only unique when the graph already has a unique circuit.
+    the resulting multigraph is a tree, which holds for any decomposition
+    into simple cycles (Pevzner 1989). A node of degree d lies on d cycles,
+    so one of degree 3 or more gives a triangle. A bridge of the
+    intersection graph makes its shared node a cut node, so the edge of a
+    degree-2 node that is not one lies on a cycle. If every node forces, a
+    cycle would join the two sides of a cut node without it: there is none.
     """
     require_eulerian(g)
     require_simple(g)

@@ -14,11 +14,9 @@ node.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .circuit import _hierholzer
 from .graph import Analysis, ContractError, Graph, require_eulerian
 
 if TYPE_CHECKING:
@@ -61,11 +59,10 @@ class SafetyEvidence:
     ``not-forced`` (middle node has degree 2, is not a cut node and carries
     no self-loop), ``not-in-any-circuit`` (both edges on the same side of
     the middle node) and ``edges-missing``. Side ids are filled in for the
-    ``cut-split`` and ``not-in-any-circuit`` cases. They number the
-    components of G - v in order of first discovery by the analysis DFS
-    from node 0: 0 is the rest, the component holding node 0, when v is
-    not node 0; then each child subtree of v that opens a block, in DFS
-    order; then each self-loop at v, a side of its own, in edge-id order.
+    ``cut-split`` and ``not-in-any-circuit`` cases, where v is a forcing
+    degree-2 node with two sides: side 1 is v's last self-loop in edge-id
+    order if it has one, else the subtree of the analysis DFS (from node 0)
+    below v's latest-discovered child that opens a block; side 0 is the rest.
     """
 
     safe: bool
@@ -98,47 +95,62 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     }
 
 
+def _side(g: Graph, a: Analysis, v: int, e: int, w: int) -> int:
+    """The side, 0 or 1, of the forcing degree-2 node ``v`` that edge ``e``
+    reaches through its other end ``w``, as :class:`SafetyEvidence` numbers
+    them. Without a self-loop, ``w`` is on side 1 iff ``disc[w]`` falls in
+    ``[disc[c], fin[c])`` for that child ``c``.
+    """
+    nbr = g.nbr
+    start = g.off[v]
+    # The out part of a degree-2 node is start, start + 1, by edge id.
+    if nbr[start + 1] == v:
+        return int(e == g.eid[start + 1])
+    if nbr[start] == v:
+        return int(e == g.eid[start])
+    disc = a.disc
+    latest = -1
+    for c in nbr[start : start + 4]:
+        if a.parent[c] == v and a.opens[c] and (latest < 0 or disc[c] > disc[latest]):
+            latest = c
+    return int(disc[latest] <= disc[w] < a.fin[latest])
+
+
+def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> list[int]:
+    """``succ[e]``, the out-edge every circuit takes after ``e``, or -1 where
+    the head of ``e`` is not forcing: the only out-edge at degree 1, the
+    out-edge on the other side at degree 2."""
+    succ = [-1] * g.num_edges
+    off = g.off
+    out_end = g.out_end
+    nbr = g.nbr
+    eid = g.eid
+    for v, forcing in enumerate(in_a):
+        if not forcing:
+            continue
+        start = off[v]
+        mid = out_end[v]
+        if mid - start == 1:
+            succ[eid[mid]] = eid[start]
+            continue
+        s0 = _side(g, a, v, eid[start], nbr[start])
+        for i in (mid, mid + 1):
+            succ[eid[i]] = eid[start + (_side(g, a, v, eid[i], nbr[i]) == s0)]
+    return succ
+
+
 class SafePairChecker:
     """Answers consecutive-pair safety queries against one graph.
 
     Construction runs the analysis pass once, O(|E|). Each query then takes
-    O(1): the sides of a forcing degree-2 node are read off the DFS
-    intervals of that pass (Tarjan's technique), and such a node has at
-    most four edge ends to look at.
+    O(1): at a forcing degree-2 node the pair is safe iff its two edges lie
+    on different sides, as :func:`_side` reads them off the pass.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._a = require_eulerian(g)
         self._degrees, self._in_a = _node_class_arrays(g, self._a)
-
-    def _side(self, v: int, e: int, w: int) -> int:
-        """The side of ``v`` that edge ``e`` reaches through its other end
-        ``w``, numbered as :class:`SafetyEvidence` describes.
-
-        ``w`` lies in the subtree of the child ``c`` of ``v`` whose
-        ``[disc, fin)`` interval holds ``disc[w]``. That subtree is a side
-        of its own iff ``c`` opens a block; otherwise a back edge joins it
-        to the rest, as it does every node outside the subtree of ``v``.
-        """
-        g = self.g
-        a = self._a
-        disc = a.disc
-        start, stop = g.off[v], g.off[v + 1]
-        children = sorted(
-            {c for c in g.nbr[start:stop] if a.parent[c] == v and a.opens[c]},
-            key=disc.__getitem__,
-        )
-        first = 1 if v else 0  # node 0, the DFS root, has no rest
-        if w == v:
-            out = range(start, g.out_end[v])
-            loops = [g.eid[i] for i in out if g.nbr[i] == v]
-            return first + len(children) + loops.index(e)
-        dw = disc[w]
-        for k, c in enumerate(children):
-            if disc[c] <= dw < a.fin[c]:
-                return first + k
-        return 0
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
         g = self.g
@@ -157,8 +169,8 @@ class SafePairChecker:
             return SafetyEvidence(False, "degree-too-high")
         if not self._in_a[v]:
             return SafetyEvidence(False, "not-forced")
-        cu = self._side(v, e1, g.tails[e1])
-        cw = self._side(v, e2, g.heads[e2])
+        cu = _side(g, self._a, v, e1, g.tails[e1])
+        cw = _side(g, self._a, v, e2, g.heads[e2])
         if cu != cw:
             return SafetyEvidence(True, "cut-split", component_u=cu, component_w=cw)
         return SafetyEvidence(False, "not-in-any-circuit", component_u=cu, component_w=cw)
@@ -180,36 +192,32 @@ def has_unique_eulerian_circuit(g: Graph) -> bool:
 
 
 def maximal_safe_walks(
-    g: Graph,
-    norm_map: Optional[NormalizationMap] = None,
-    rng: Optional[random.Random] = None,
+    g: Graph, norm_map: Optional[NormalizationMap] = None
 ) -> SafeWalkReport:
-    """Compute all maximal safe walks in O(|E|).
+    """Compute all maximal safe walks in O(|E|), with no circuit built.
 
-    One Eulerian circuit is built and cut at every occurrence of a
-    non-forcing node, keeping a copy of the node as an endpoint of both
-    neighboring segments. If there is no cutting point the circuit is
-    unique and reported whole. Multigraphs are taken as they are;
-    ``norm_map``, from :func:`~eulersafe.oracles.normalize`, projects walks
-    over a normalized graph back to the original edge ids.
+    A walk is a maximal chain of forced successors. One starts at every
+    edge leaving a non-forcing node, the walks in ascending order of that
+    first edge id, and ends at the next non-forcing node. If every node is
+    forcing the circuit is unique and reported whole, from edge id 0.
+    Multigraphs are taken as they are; ``norm_map``, from
+    :func:`~eulersafe.oracles.normalize`, projects walks over a normalized
+    graph back to the original edge ids.
     """
-    _, in_a = _node_class_arrays(g, require_eulerian(g))
-    circuit = _hierholzer(g, rng=rng)
-    edges = circuit.edges
-    tails = g.tails
-    cut_positions = [i for i in range(len(edges)) if not in_a[tails[edges[i]]]]
-    if not cut_positions:
-        walks: tuple[tuple[int, ...], ...] = (edges,)
-        unique = True
-    else:
-        k = len(edges)
-        segments = []
-        for idx, a in enumerate(cut_positions):
-            b = cut_positions[idx + 1] if idx + 1 < len(cut_positions) else cut_positions[0] + k
-            segments.append(edges[a:b] if b <= k else edges[a:] + edges[: b - k])
-        walks = tuple(segments)
-        unique = False
+    a = require_eulerian(g)
+    _, in_a = _node_class_arrays(g, a)
+    succ = _forced_successors(g, a, in_a)
+    starts = [e for e, t in enumerate(g.tails) if not in_a[t]]
+    unique = not starts
+    walks = []
+    for first in starts or [0]:
+        walk = [first]
+        e = succ[first]
+        while e >= 0 and e != first:
+            walk.append(e)
+            e = succ[e]
+        walks.append(tuple(walk))
     if norm_map is not None and not norm_map.is_identity:
-        walks = tuple(norm_map.project(w, circular=unique) for w in walks)
+        walks = [norm_map.project(w, circular=unique) for w in walks]
     total = sum(len(w) for w in walks)
-    return SafeWalkReport(walks=walks, unique_circuit=unique, total_edge_length=total)
+    return SafeWalkReport(walks=tuple(walks), unique_circuit=unique, total_edge_length=total)

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior, including exit codes."""
+import dataclasses
 import json
 import os
 import random
@@ -205,7 +206,7 @@ class TestOracleCompare:
 
     def test_fault_injection_is_caught(self, graph_file, capsys, monkeypatch):
         # Break the pipeline on purpose; the oracles must notice.
-        def wrong(g, norm_map=None, rng=None):
+        def wrong(g, norm_map=None):
             return SafeWalkReport(
                 walks=tuple((e,) for e in range(g.num_edges)),
                 unique_circuit=False,
@@ -217,6 +218,22 @@ class TestOracleCompare:
         out = capsys.readouterr().out
         assert out.startswith("FAIL:")
         assert "safe walks" in out
+
+    def test_pevzner_fault_is_caught(self, graph_file, capsys, monkeypatch):
+        # A cycle-intersection verdict that disagrees with uniqueness fails.
+        real = cli.oracles.pevzner_intersection_graph
+
+        def flipped(ng):
+            verdict = real(ng)
+            return dataclasses.replace(verdict, is_tree=not verdict.is_tree)
+
+        monkeypatch.setattr(cli.oracles, "pevzner_intersection_graph", flipped)
+        assert cli.main(["oracle-compare", graph_file(FIGURE_EIGHT)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "FAIL: uniqueness: cycle-intersection tree test gives False, "
+            "linear-time verdict True"
+        )
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

@@ -14,6 +14,7 @@ from eulersafe import (
     is_eulerian,
     is_safe_pair,
     is_valid_walk,
+    find_eulerian_circuit,
     maximal_safe_walks,
     normalize,
 )
@@ -77,6 +78,9 @@ class TestSafePair:
         assert evidence.safe
         assert evidence.reason == "cut-split"
         assert evidence.component_u != evidence.component_w
+        # v is the DFS root with two opening children, a and then c; the
+        # latest one, c, is side 1.
+        assert evidence == SafetyEvidence(True, "cut-split", 0, 1)
 
     def test_same_side_of_cut(self, figure_eight):
         evidence = is_safe_pair(figure_eight, 2, 0)
@@ -209,7 +213,7 @@ class TestMaximalSafeWalks:
     def test_three_triangles_cut_at_center(self, three_triangles):
         report = maximal_safe_walks(three_triangles)
         assert not report.unique_circuit
-        assert sorted(report.walks) == [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+        assert report.walks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
         assert report.total_edge_length == 9
 
     def test_bidirected_triangle_single_edges(self, bidirected_triangle):
@@ -239,11 +243,23 @@ class TestMaximalSafeWalks:
             ), list(g.edge_pairs())
 
     def test_independent_of_circuit_choice(self, random_sample_500):
+        # Any circuit, cut at every occurrence of a non-forcing node, gives
+        # the maximal safe walks.
         rng = random.Random(7)
         for g in random_sample_500[:60]:
-            baseline = walk_multiset(maximal_safe_walks(g))
+            classes = classify_nodes(g)
+            cut_at = {g.index[label] for label, c in classes.items() if not c.in_a}
+            expected = walk_multiset(maximal_safe_walks(g))
             for _ in range(3):
-                assert walk_multiset(maximal_safe_walks(g, rng=rng)) == baseline
+                edges = find_eulerian_circuit(g, rng=rng).edges
+                starts = [i for i, e in enumerate(edges) if g.tails[e] in cut_at]
+                if not starts:
+                    assert expected == [canonical_rotation(edges)]
+                    continue
+                edges = edges[starts[0]:] + edges[: starts[0]]
+                starts = [i - starts[0] for i in starts] + [len(edges)]
+                walks = [edges[i:j] for i, j in zip(starts, starts[1:])]
+                assert sorted(walks) == expected, list(g.edge_pairs())
 
     def test_multigraph_projection(self):
         g = Graph([("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")])
@@ -323,3 +339,24 @@ def test_raw_multigraphs_match_normalized_pipeline():
         graphs += 1
     assert graphs == 1005
     print(f"\n{graphs} raw multigraphs, {pairs} consecutive pairs: 0 divergences")
+
+
+def test_walks_are_maximal_chains_of_safe_pairs():
+    """Every consecutive pair inside a walk is safe; when the circuit is
+    not unique, no pair that leaves a walk's last edge is."""
+    for g in raw_multigraphs(1000, seed=20261018):
+        edges = list(g.edge_pairs())
+        report = maximal_safe_walks(g)
+        checker = SafePairChecker(g)
+        for walk in report.walks:
+            for e1, e2 in zip(walk, walk[1:]):
+                assert checker.check(e1, e2).safe, (edges, e1, e2)
+            if report.unique_circuit:
+                if len(walk) > 1:
+                    assert checker.check(walk[-1], walk[0]).safe, edges
+                continue
+            last = walk[-1]
+            v = g.heads[last]
+            for e2 in g.eid[g.off[v] : g.out_end[v]]:
+                if e2 != last:
+                    assert not checker.check(last, e2).safe, (edges, last, e2)
