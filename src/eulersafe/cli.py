@@ -3,18 +3,20 @@
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
 2 for usage, I/O, or parse errors, for a count or an oracle comparison
-refused by its size bound, and for running out of memory.
+refused by its size bounds (see ``circuit.MAX_BLOCK_NODES`` and
+``circuit.MAX_COUNT_DIGITS``), and for running out of memory.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import generator, oracles, safety
 from .circuit import canonical_rotation, count_circuits
-from .graph import Graph, GraphError, ParseError, is_eulerian, parse_edge_list, walk_nodes
+from .graph import Graph, GraphError, ParseError, is_eulerian, parse_edge_list
 
 
 def _load_graph(path: str) -> Graph:
@@ -48,36 +50,48 @@ def cmd_unique(args) -> int:
 def cmd_safe(args) -> int:
     g = _load_graph(args.path)
     report = safety.maximal_safe_walks(g)
+    tails = g.tails
+    heads = g.heads
+    # One write per line as the walks are formatted: buffering the whole
+    # output first would hold every line, and then their join, in memory.
+    write = sys.stdout.write
     if args.format == "structured":
-        _emit(
-            record="header",
-            edges=g.num_edges,
-            walks=len(report.walks),
-            total_length=report.total_edge_length,
-            unique=report.unique_circuit,
-        )
+        header = {
+            "record": "header",
+            "edges": g.num_edges,
+            "walks": len(report.walks),
+            "total_length": report.total_edge_length,
+            "unique": report.unique_circuit,
+        }
+        write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        # json.dumps escapes strings with this same function under its
+        # default ensure_ascii=True, so each label is encoded once and every
+        # record below matches json.dumps(record, sort_keys=True,
+        # separators=(",", ":")) byte for byte.
+        quoted = [encode_basestring_ascii(label) for label in g.labels]
         for index, walk in enumerate(report.walks):
-            _emit(
-                record="walk",
-                index=index,
-                length=len(walk),
-                edges=list(walk),
-                nodes=walk_nodes(g, walk),
+            edges = ",".join(map(str, walk))
+            nodes = ",".join([quoted[heads[e]] for e in walk])
+            write(
+                f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
+                f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
             )
     else:
-        print(f"edges: {g.num_edges}")
-        print(f"maximal safe walks: {len(report.walks)}")
-        print(f"total length: {report.total_edge_length}")
-        print(f"unique circuit: {'yes' if report.unique_circuit else 'no'}")
+        write(
+            f"edges: {g.num_edges}\n"
+            f"maximal safe walks: {len(report.walks)}\n"
+            f"total length: {report.total_edge_length}\n"
+            f"unique circuit: {'yes' if report.unique_circuit else 'no'}\n"
+        )
+        labels = g.labels
         for index, walk in enumerate(report.walks):
-            nodes = " -> ".join(walk_nodes(g, walk))
-            ids = " ".join(str(e) for e in walk)
-            print(f"walk {index} (length {len(walk)}): {nodes} [edges {ids}]")
+            nodes = " -> ".join([labels[heads[e]] for e in walk])
+            ids = " ".join(map(str, walk))
+            write(
+                f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
+                f"[edges {ids}]\n"
+            )
     return 0
-
-
-def _emit(**fields) -> None:
-    print(json.dumps(fields, sort_keys=True, separators=(",", ":")))
 
 
 def cmd_count(args) -> int:

@@ -174,7 +174,10 @@ def parse_edge_list(text: str) -> Graph:
     intern = index.setdefault
     tails = array("i")
     heads = array("i")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines() also breaks at form feeds,
+    # U+0085, U+2028 and other separators, which would misnumber every
+    # later line. split() below treats those characters as whitespace.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior, including exit codes."""
+import argparse
 import dataclasses
 import json
 import os
@@ -13,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import eulersafe
-from eulersafe import cli, parse_edge_list, is_eulerian
-from eulersafe.circuit import MAX_BLOCK_NODES
+from eulersafe import cli, parse_edge_list, is_eulerian, maximal_safe_walks, walk_nodes
+from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
 from eulersafe.safety import SafeWalkReport
+from test_safety import raw_multigraphs
 
 TRIANGLE = "a b\nb c\nc a\n"
 FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
@@ -147,6 +149,92 @@ class TestSafe:
         ]
 
 
+def reference_safe_output(g, fmt: str) -> str:
+    """`safe`'s stdout formatted record by record, the way the CLI first
+    wrote it: ``json.dumps`` of each whole record for structured output,
+    one f-string per line for text."""
+    report = maximal_safe_walks(g)
+    if fmt == "structured":
+        records = [
+            dict(
+                record="header",
+                edges=g.num_edges,
+                walks=len(report.walks),
+                total_length=report.total_edge_length,
+                unique=report.unique_circuit,
+            )
+        ]
+        for index, walk in enumerate(report.walks):
+            records.append(
+                dict(
+                    record="walk",
+                    index=index,
+                    length=len(walk),
+                    edges=list(walk),
+                    nodes=walk_nodes(g, walk),
+                )
+            )
+        return "".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
+        )
+    lines = [
+        f"edges: {g.num_edges}",
+        f"maximal safe walks: {len(report.walks)}",
+        f"total length: {report.total_edge_length}",
+        f"unique circuit: {'yes' if report.unique_circuit else 'no'}",
+    ]
+    for index, walk in enumerate(report.walks):
+        nodes = " -> ".join(walk_nodes(g, walk))
+        ids = " ".join(str(e) for e in walk)
+        lines.append(f"walk {index} (length {len(walk)}): {nodes} [edges {ids}]")
+    return "".join(line + "\n" for line in lines)
+
+
+# Labels that JSON must escape: a quote, a backslash, non-ASCII, a
+# character outside the BMP (a surrogate pair in \u form), control and
+# DEL characters, and all of them in one label.
+ESCAPED_LABELS = ['"', "\\", "\u00e9", "\U0001f600", "\x01", "\x7f", 'q"\\\u00e9\U0001f600\x01\x7f']
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+class TestSafeMatchesReference:
+    """`safe` encodes each label once and writes line by line; its stdout
+    must equal the record-by-record reference byte for byte."""
+
+    @staticmethod
+    def stdout_of(g, fmt, monkeypatch, capsys) -> str:
+        monkeypatch.setattr(cli, "_load_graph", lambda path: g)
+        assert cli.cmd_safe(argparse.Namespace(path="-", format=fmt)) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("bidirected", [False, True], ids=["ring", "bidirected-ring"])
+    def test_escaped_labels(self, tmp_path, capsys, fmt, bidirected):
+        k = len(ESCAPED_LABELS)
+        edges = [(ESCAPED_LABELS[i], ESCAPED_LABELS[(i + 1) % k]) for i in range(k)]
+        if bidirected:
+            edges += [(h, t) for t, h in edges]
+        path = tmp_path / "labels.txt"
+        path.write_text("".join(f"{t} {h}\n" for t, h in edges), encoding="utf-8")
+        assert cli.main(["safe", str(path), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        g = parse_edge_list(path.read_text(encoding="utf-8"))
+        assert g.labels == ESCAPED_LABELS
+        assert out == reference_safe_output(g, fmt)
+
+    def test_corpus(self, corpus_5, monkeypatch, capsys, fmt):
+        for g in corpus_5:
+            out = self.stdout_of(g, fmt, monkeypatch, capsys)
+            assert out == reference_safe_output(g, fmt), list(g.edge_pairs())
+
+    def test_raw_multigraphs(self, monkeypatch, capsys, fmt):
+        unique = Counter()
+        for g in raw_multigraphs(500, seed=61):
+            out = self.stdout_of(g, fmt, monkeypatch, capsys)
+            assert out == reference_safe_output(g, fmt), list(g.edge_pairs())
+            unique[maximal_safe_walks(g).unique_circuit] += 1
+        assert unique[True] > 50 and unique[False] > 50
+
+
 class TestCount:
     def test_default_method(self, graph_file, capsys):
         assert cli.main(["count", graph_file(BIDIRECTED)]) == 0
@@ -257,6 +345,18 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return result
 
 
+def exact_decimal(n: int) -> str:
+    """``str(n)`` past the interpreter's int-to-str digit limit, if any."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cactus_edges(num_nodes: int, seed: int) -> list[tuple[str, str]]:
     """Directed cycles of length 2 to 6, each attached at a random node of
     the cactus built so far."""
@@ -310,6 +410,22 @@ class TestLargeAndMalformedInput:
             sys.set_int_max_str_digits(limit)
         assert len(expected) > limit
         assert (result.returncode, result.stdout) == (0, expected)
+
+    def test_count_of_a_million_loops_is_refused(self, graph_file):
+        # (10**6 - 1)! has 5,565,703 digits; printing them would take minutes.
+        result = run_cli("count", graph_file("a a\n" * 1_000_000))
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(
+            "error: exact count refused: the answer has about 5565703 decimal digits"
+        )
+        assert result.stderr.count("\n") == 1
+
+    def test_count_just_under_the_digit_bound(self, graph_file):
+        loops = 25_206
+        result = run_cli("count", graph_file("a a\n" * loops))
+        expected = exact_decimal(factorial(loops - 1))
+        assert MAX_COUNT_DIGITS - 10 < len(expected) <= MAX_COUNT_DIGITS
+        assert (result.returncode, result.stdout) == (0, f"{expected}\n")
 
     def test_enumerate_long_ring(self, graph_file):
         text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))

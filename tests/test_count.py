@@ -120,6 +120,41 @@ def test_block_above_bound_is_refused():
         count_circuits(g)
 
 
+def test_block_bound_is_checked_before_the_factorials(monkeypatch):
+    # On a large dense input the factorial product alone took seconds, so a
+    # refusal must not wait for it.
+    def factorial_not_expected(n):
+        raise AssertionError("factorial computed before the block bound")
+
+    monkeypatch.setattr("eulersafe.circuit.factorial", factorial_not_expected)
+    with pytest.raises(ContractError, match="determinant bound"):
+        count_circuits(Graph(bidirected_ring(MAX_BLOCK_NODES + 1)))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("a", "a")] * 1000,
+        bidirected_ring(40),
+        [(f"k{i}", f"k{j}") for i in range(7) for j in range(7) if i != j for _ in range(3)],
+        bidirected_ring(30, "a") + bidirected_ring(30, "b") + [("a0", "a0"), ("b5", "a0"), ("a0", "b5")],
+    ],
+    ids=["loops", "bidirected-ring", "complete-multigraph", "two-blocks-and-a-loop"],
+)
+def test_digit_bound_is_exact(monkeypatch, edges):
+    # The size estimate, from lgamma and the determinants, names the exact
+    # number of digits on these inputs: refused one digit below it,
+    # counted at it.
+    g = Graph(edges)
+    count = count_circuits(g)
+    digits = len(str(count))
+    monkeypatch.setattr("eulersafe.circuit.MAX_COUNT_DIGITS", digits - 1)
+    with pytest.raises(ContractError, match=f"about {digits} decimal digits"):
+        count_circuits(g)
+    monkeypatch.setattr("eulersafe.circuit.MAX_COUNT_DIGITS", digits)
+    assert count_circuits(g) == count
+
+
 def test_bound_covers_the_sum_over_blocks():
     # Each block alone fits, but together their cubic cost exceeds that of
     # one block at the bound.
