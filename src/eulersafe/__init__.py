@@ -8,101 +8,74 @@ test) are provided for verification; exact circuit counting factors the
 BEST theorem over biconnected blocks. Self-loops and parallel edges are
 analysed as they are; ``normalize`` only feeds the oracles that need a
 simple graph.
+
+Importing the package loads none of its submodules: each public name is
+imported from its submodule on first access, so a command pays only for
+the code it runs.
 """
 
-from .circuit import (
-    canonical_rotation,
-    count_circuits,
-    find_eulerian_circuit,
-    swap_at_node,
-    verify_circuit,
-)
-from .generator import edge_list_text, random_eulerian_edges
-from .graph import (
-    Circuit,
-    ContractError,
-    EulerCheck,
-    Graph,
-    GraphError,
-    ParseError,
-    is_eulerian,
-    is_valid_walk,
-    parse_edge_list,
-    walk_nodes,
-)
-from .oracles import (
-    CountReport,
-    EnumerationOverflow,
-    EnumerationResult,
-    IntersectionGraph,
-    NormalizationMap,
-    brute_force_safe_walks,
-    count_arborescences,
-    count_best,
-    count_eulerian_circuits,
-    enumerate_eulerian_circuits,
-    normalize,
-    pevzner_intersection_graph,
-)
-from .safety import (
-    NodeClass,
-    SafePairChecker,
-    SafeWalkReport,
-    SafetyEvidence,
-    classify_nodes,
-    has_unique_eulerian_circuit,
-    is_safe_pair,
-    maximal_safe_walks,
-)
-from .undirected import (
-    ComponentSplit,
-    articulation_points,
-    component_split,
-    underlying_undirected,
-)
+from importlib import import_module
 
-__all__ = [
-    "Circuit",
-    "ComponentSplit",
-    "ContractError",
-    "CountReport",
-    "EnumerationOverflow",
-    "EnumerationResult",
-    "EulerCheck",
-    "Graph",
-    "GraphError",
-    "IntersectionGraph",
-    "NodeClass",
-    "NormalizationMap",
-    "ParseError",
-    "SafePairChecker",
-    "SafeWalkReport",
-    "SafetyEvidence",
-    "articulation_points",
-    "brute_force_safe_walks",
-    "canonical_rotation",
-    "classify_nodes",
-    "component_split",
-    "count_arborescences",
-    "count_best",
-    "count_circuits",
-    "count_eulerian_circuits",
-    "edge_list_text",
-    "enumerate_eulerian_circuits",
-    "find_eulerian_circuit",
-    "has_unique_eulerian_circuit",
-    "is_eulerian",
-    "is_safe_pair",
-    "is_valid_walk",
-    "maximal_safe_walks",
-    "normalize",
-    "parse_edge_list",
-    "pevzner_intersection_graph",
-    "random_eulerian_edges",
-    "swap_at_node",
-    "underlying_undirected",
-    "verify_circuit",
-    "walk_nodes",
-]
+# Public name -> the submodule that defines it.
+_SUBMODULE = {
+    "Circuit": "graph",
+    "ComponentSplit": "undirected",
+    "ContractError": "graph",
+    "CountReport": "oracles",
+    "EnumerationOverflow": "oracles",
+    "EnumerationResult": "oracles",
+    "EulerCheck": "graph",
+    "Graph": "graph",
+    "GraphError": "graph",
+    "IntersectionGraph": "oracles",
+    "NodeClass": "safety",
+    "NormalizationMap": "oracles",
+    "ParseError": "graph",
+    "SafePairChecker": "safety",
+    "SafeWalkReport": "safety",
+    "SafetyEvidence": "safety",
+    "articulation_points": "undirected",
+    "brute_force_safe_walks": "oracles",
+    "canonical_rotation": "circuit",
+    "classify_nodes": "safety",
+    "component_split": "undirected",
+    "count_arborescences": "oracles",
+    "count_best": "oracles",
+    "count_circuits": "circuit",
+    "count_eulerian_circuits": "oracles",
+    "edge_list_text": "generator",
+    "enumerate_eulerian_circuits": "oracles",
+    "find_eulerian_circuit": "circuit",
+    "has_unique_eulerian_circuit": "safety",
+    "is_eulerian": "graph",
+    "is_safe_pair": "safety",
+    "is_valid_walk": "graph",
+    "maximal_safe_walks": "safety",
+    "normalize": "oracles",
+    "parse_edge_list": "graph",
+    "pevzner_intersection_graph": "oracles",
+    "random_eulerian_edges": "generator",
+    "swap_at_node": "circuit",
+    "underlying_undirected": "undirected",
+    "verify_circuit": "circuit",
+    "walk_nodes": "graph",
+}
+
+__all__ = sorted(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a public name from its submodule on first access (PEP 562)."""
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

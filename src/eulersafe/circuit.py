@@ -2,13 +2,15 @@
 circuit surgery."""
 from __future__ import annotations
 
-import random
 from collections import Counter
 from math import factorial, lgamma, log, log10
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .graph import Circuit, ContractError, Graph, is_eulerian
 from .undirected import edge_blocks
+
+if TYPE_CHECKING:
+    import random
 
 # Bound on the dense determinants of count_circuits: the reduced blocks'
 # kept-node counts k must satisfy sum(k**3) <= MAX_BLOCK_NODES**3, so the

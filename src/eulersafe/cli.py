@@ -9,14 +9,15 @@ refused by its size bounds (see ``circuit.MAX_BLOCK_NODES`` and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import generator, oracles, safety
-from .circuit import canonical_rotation, count_circuits
+# Each command imports the rest of what it runs, so that start-up pays only
+# for the code that command uses.
 from .graph import Graph, GraphError, ParseError, is_eulerian, parse_edge_list
+
+if TYPE_CHECKING:
+    from .safety import SafeWalkReport
 
 
 def _load_graph(path: str) -> Graph:
@@ -39,8 +40,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_unique(args) -> int:
+    from .safety import has_unique_eulerian_circuit
+
     g = _load_graph(args.path)
-    if safety.has_unique_eulerian_circuit(g):
+    if has_unique_eulerian_circuit(g):
         print("unique")
         return 0
     print("not-unique")
@@ -48,14 +51,19 @@ def cmd_unique(args) -> int:
 
 
 def cmd_safe(args) -> int:
+    from .safety import maximal_safe_walks
+
     g = _load_graph(args.path)
-    report = safety.maximal_safe_walks(g)
+    report = maximal_safe_walks(g)
     tails = g.tails
     heads = g.heads
     # One write per line as the walks are formatted: buffering the whole
     # output first would hold every line, and then their join, in memory.
     write = sys.stdout.write
     if args.format == "structured":
+        import json
+        from json.encoder import encode_basestring_ascii
+
         header = {
             "record": "header",
             "edges": g.num_edges,
@@ -97,9 +105,13 @@ def cmd_safe(args) -> int:
 def cmd_count(args) -> int:
     g = _load_graph(args.path)
     if args.method == "best":
+        from .circuit import count_circuits
+
         _print_exact(count_circuits(g))
         return 0
-    count, capped = oracles.count_eulerian_circuits(g, cap=args.cap)
+    from .oracles import count_eulerian_circuits
+
+    count, capped = count_eulerian_circuits(g, cap=args.cap)
     if capped:
         print(f">= {count}")
         return 1
@@ -124,6 +136,9 @@ def _print_exact(n: int) -> None:
 
 
 def cmd_oracle_compare(args) -> int:
+    from . import oracles, safety
+    from .circuit import count_circuits
+
     g = _load_graph(args.path)
     # A raw multigraph has far more circuits per edge than a simple graph
     # (one node with k loops has (k - 1)!), so the cap counts the edges of
@@ -173,7 +188,9 @@ def cmd_oracle_compare(args) -> int:
     return 0
 
 
-def _walk_multiset(report: safety.SafeWalkReport):
+def _walk_multiset(report: SafeWalkReport):
+    from .circuit import canonical_rotation
+
     walks = report.walks
     if report.unique_circuit:
         walks = tuple(canonical_rotation(w) for w in walks)
@@ -181,6 +198,8 @@ def _walk_multiset(report: safety.SafeWalkReport):
 
 
 def cmd_gen(args) -> int:
+    from . import generator
+
     edges = generator.random_eulerian_edges(args.nodes, args.cycles, seed=args.seed)
     text = generator.edge_list_text(edges)
     if args.output:

@@ -15,10 +15,9 @@ through them every analysis in the package run it once per call.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GraphError(Exception):
@@ -130,14 +129,19 @@ class Graph:
         return f"Graph(nodes={len(self.labels)}, edges={len(self.tails)})"
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Edge ids of a closed walk: the last edge ends where the first starts."""
 
     edges: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+# The generated _make, which _replace goes through, checks the field count
+# with len(), which counts edges on a Circuit. NamedTuple forbids
+# redefining _make in the class body.
+Circuit._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def walk_nodes(g: Graph, edges: Sequence[int]) -> list[str]:
@@ -194,8 +198,7 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
-@dataclass(frozen=True)
-class EulerCheck:
+class EulerCheck(NamedTuple):
     """Verdict of the Eulerian-ness test, with a witness on failure."""
 
     ok: bool
@@ -207,8 +210,7 @@ class EulerCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Result of the one analysis pass over a graph.
 
     ``check`` is the Euler verdict. When it holds, the other fields describe

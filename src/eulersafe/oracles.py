@@ -200,39 +200,84 @@ def _for_each_circuit(g: Graph, visit) -> None:
     Anchoring is valid because every Eulerian circuit uses edge 0 exactly
     once, so ``visit`` sees each rotation class exactly once, as a mutable
     edge-id list it must not keep. Returning False from ``visit`` stops
-    the search. The search keeps an explicit stack, so circuit length is
-    not limited by the interpreter's recursion limit.
+    the search.
+
+    A step takes an edge only if every unused edge stays weakly connected
+    to the edge's head. In a balanced graph that is exactly the condition
+    for the trail to extend to a circuit, so every branch ends in one: a
+    step costs at most one O(|E|) search per out-edge of its node, and a
+    search that ``visit`` stops at circuit k has taken at most k * |E|
+    steps. The
+    search keeps an explicit stack, so circuit length is not limited by
+    the interpreter's recursion limit.
     """
     require_eulerian(g)
     m = g.num_edges
-    heads = g.heads
-    off = g.off
-    out_end = g.out_end
-    out = g.eid
-    start = g.tails[0]
+    # Lists rather than the graph's arrays: the loops below index them
+    # millions of times on small graphs, and a list index is cheaper.
+    tails = list(g.tails)
+    heads = list(g.heads)
+    off = list(g.off)
+    out_end = list(g.out_end)
+    out = list(g.eid)
+    n = g.num_nodes
+    incidences = [list(zip(out[a:b], g.nbr[a:b])) for a, b in zip(off, off[1:])]
     used = bytearray(m)
+    # left[v]: unused out-edges at v.
+    left = [end - start for start, end in zip(off, out_end)]
+
+    def extendable(e: int, remaining: int) -> bool:
+        """Once ``e`` is taken too, are the ``remaining`` unused edges all
+        weakly connected to its head? Before ``e`` they were to its tail,
+        so they are if the head still reaches the tail; else exactly when
+        all of them are on the head's side, counted by their ends (two per
+        edge, a self-loop's both at one node)."""
+        v = tails[e]
+        w = heads[e]
+        used[e] = 1
+        try:
+            seen = bytearray(n)
+            seen[w] = 1
+            stack = [w]
+            ends = 0
+            while stack:
+                for f, y in incidences[stack.pop()]:
+                    if not used[f]:
+                        if y == v:
+                            return True
+                        ends += 1
+                        if not seen[y]:
+                            seen[y] = 1
+                            stack.append(y)
+            return ends == 2 * remaining
+        finally:
+            used[e] = 0
+
     used[0] = 1
+    left[tails[0]] -= 1
     path = [0]
     # cursor[i]: next CSR entry to try among the out-edges of heads[path[i]].
     cursor = [off[heads[0]]]
     while path:
-        if len(path) == m:
-            if heads[path[-1]] == start and not visit(path):
-                return
-        else:
-            end = out_end[heads[path[-1]]]
-            i = cursor[-1]
-            while i < end and used[out[i]]:
-                i += 1
-            if i < end:
+        if len(path) == m and not visit(path):
+            return
+        v = heads[path[-1]]
+        for i in range(cursor[-1], out_end[v]):
+            e = out[i]
+            # While the trail extends to a circuit, a lone unused out-edge
+            # is its next step and needs no test.
+            if not used[e] and (left[v] == 1 or extendable(e, m - len(path) - 1)):
                 cursor[-1] = i + 1
-                e = out[i]
                 used[e] = 1
+                left[v] -= 1
                 path.append(e)
                 cursor.append(off[heads[e]])
-                continue
-        cursor.pop()
-        used[path.pop()] = 0
+                break
+        else:
+            cursor.pop()
+            e = path.pop()
+            used[e] = 0
+            left[tails[e]] += 1
 
 
 def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> EnumerationResult:

@@ -14,8 +14,7 @@ node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .graph import Analysis, ContractError, Graph, require_eulerian
 
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
     from .oracles import NormalizationMap
 
 
-@dataclass(frozen=True)
-class NodeClass:
+class NodeClass(NamedTuple):
     """Per-node degree and cut status; ``in_a`` marks forcing nodes.
 
     A degree-2 node that carries a self-loop is forcing without being a
@@ -37,8 +35,7 @@ class NodeClass:
     in_a: bool
 
 
-@dataclass(frozen=True)
-class SafeWalkReport:
+class SafeWalkReport(NamedTuple):
     """Maximal safe walks as edge-id sequences, plus conservation metadata.
 
     Walks are pairwise edge-disjoint and cover every edge, so
@@ -51,8 +48,7 @@ class SafeWalkReport:
     total_edge_length: int
 
 
-@dataclass(frozen=True)
-class SafetyEvidence:
+class SafetyEvidence(NamedTuple):
     """Verdict for one consecutive edge pair, with the reason it holds.
 
     Reason codes: ``degree-one``, ``cut-split``, ``degree-too-high``,

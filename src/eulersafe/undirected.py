@@ -11,7 +11,7 @@ definition that tests compare against, and no production path calls it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import ContractError, Graph, require_eulerian
 
@@ -58,8 +58,7 @@ def articulation_points(g: Graph) -> set[str]:
     return {label for label, cut in zip(g.labels, require_eulerian(g).cut) if cut}
 
 
-@dataclass(frozen=True)
-class ComponentSplit:
+class ComponentSplit(NamedTuple):
     """Connected components of the graph with one node removed."""
 
     removed: str

@@ -16,6 +16,7 @@ import pytest
 import eulersafe
 from eulersafe import cli, parse_edge_list, is_eulerian, maximal_safe_walks, walk_nodes
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
+from eulersafe.oracles import pevzner_intersection_graph
 from eulersafe.safety import SafeWalkReport
 from test_safety import raw_multigraphs
 
@@ -287,7 +288,7 @@ class TestOracleCompare:
         assert capsys.readouterr().out.startswith("skipped: enumeration infeasible")
 
     def test_counter_fault_is_caught(self, graph_file, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "count_circuits", lambda g: 4)
+        monkeypatch.setattr("eulersafe.circuit.count_circuits", lambda g: 4)
         assert cli.main(["oracle-compare", graph_file(BIDIRECTED)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL: circuit count: block factorization gives 4")
@@ -301,7 +302,7 @@ class TestOracleCompare:
                 total_edge_length=g.num_edges,
             )
 
-        monkeypatch.setattr(cli.safety, "maximal_safe_walks", wrong)
+        monkeypatch.setattr("eulersafe.safety.maximal_safe_walks", wrong)
         assert cli.main(["oracle-compare", graph_file(FIGURE_EIGHT)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL:")
@@ -309,13 +310,11 @@ class TestOracleCompare:
 
     def test_pevzner_fault_is_caught(self, graph_file, capsys, monkeypatch):
         # A cycle-intersection verdict that disagrees with uniqueness fails.
-        real = cli.oracles.pevzner_intersection_graph
-
         def flipped(ng):
-            verdict = real(ng)
+            verdict = pevzner_intersection_graph(ng)
             return dataclasses.replace(verdict, is_tree=not verdict.is_tree)
 
-        monkeypatch.setattr(cli.oracles, "pevzner_intersection_graph", flipped)
+        monkeypatch.setattr("eulersafe.oracles.pevzner_intersection_graph", flipped)
         assert cli.main(["oracle-compare", graph_file(FIGURE_EIGHT)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(
@@ -418,6 +417,16 @@ class TestLargeAndMalformedInput:
         assert result.stderr.startswith(
             "error: exact count refused: the answer has about 5565703 decimal digits"
         )
+        assert result.stderr.count("\n") == 1
+
+    def test_count_of_a_million_edges_is_refused(self, tmp_path):
+        # 999,863 edges on 2000 nodes of degree >= 3: one block far above
+        # the determinant bound, refused before any factorial.
+        path = str(tmp_path / "dense.txt")
+        assert run_cli("gen", "2000", "1000", "--seed", "7", "-o", path).returncode == 0
+        result = run_cli("count", path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: exact count refused")
         assert result.stderr.count("\n") == 1
 
     def test_count_just_under_the_digit_bound(self, graph_file):

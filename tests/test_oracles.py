@@ -1,6 +1,9 @@
 """The three ground-truth oracles, checked against each other and by hand."""
 import random
+import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from eulersafe import (
     ContractError,
     Graph,
     canonical_rotation,
+    count_circuits,
     has_unique_eulerian_circuit,
     verify_circuit,
 )
@@ -21,6 +25,9 @@ from eulersafe.oracles import (
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import make_cactus  # noqa: E402
 
 
 class TestEnumeration:
@@ -66,6 +73,18 @@ class TestEnumeration:
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError):
             enumerate_eulerian_circuits(Graph([("a", "b")]))
+
+    def test_no_dead_ends_on_a_cactus(self):
+        # 165 edges and 16 circuits. Backtracking that takes any unused
+        # out-edge spent 17 s in dead ends here; pruned, every branch
+        # ends in a circuit.
+        g = Graph(make_cactus(random.Random(7), 140, 2, 12, True).edges)
+        assert g.num_edges == 165
+        start = time.perf_counter()
+        result = count_eulerian_circuits(g)
+        elapsed = time.perf_counter() - start
+        assert result == (count_circuits(g), False) == (16, False)
+        assert elapsed < 1.0
 
 
 def naive_determinant(a):
