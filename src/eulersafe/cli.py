@@ -57,9 +57,13 @@ def cmd_safe(args) -> int:
     report = maximal_safe_walks(g)
     tails = g.tails
     heads = g.heads
-    # One write per line as the walks are formatted: buffering the whole
-    # output first would hold every line, and then their join, in memory.
+    # Walk lines go out joined, 1024 per write. A write per line costs a
+    # system call each when stdout is unbuffered; one write of everything
+    # would hold every line, and then their join, in memory. The header has
+    # its own write, so that a lone walk (a unique circuit) is written
+    # without a joined copy.
     write = sys.stdout.write
+    lines: list[str] = []
     if args.format == "structured":
         import json
         from json.encoder import encode_basestring_ascii
@@ -80,10 +84,13 @@ def cmd_safe(args) -> int:
         for index, walk in enumerate(report.walks):
             edges = ",".join(map(str, walk))
             nodes = ",".join([quoted[heads[e]] for e in walk])
-            write(
+            lines.append(
                 f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
                 f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
             )
+            if len(lines) == 1024:
+                write("".join(lines))
+                lines.clear()
     else:
         write(
             f"edges: {g.num_edges}\n"
@@ -95,10 +102,15 @@ def cmd_safe(args) -> int:
         for index, walk in enumerate(report.walks):
             nodes = " -> ".join([labels[heads[e]] for e in walk])
             ids = " ".join(map(str, walk))
-            write(
+            lines.append(
                 f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
                 f"[edges {ids}]\n"
             )
+            if len(lines) == 1024:
+                write("".join(lines))
+                lines.clear()
+    if lines:
+        write("".join(lines))
     return 0
 
 
@@ -144,13 +156,16 @@ def cmd_oracle_compare(args) -> int:
     # (one node with k loops has (k - 1)!), so the cap counts the edges of
     # the normalized graph, where each loop and parallel copy counts twice.
     # The raw graph has the same circuits and a search tree no larger.
-    ng, _ = oracles.normalize(g)
-    if ng.num_edges > args.max_edges:
+    # Normalization splits each rewritten edge in two, so the count is known
+    # before the normalized graph is built.
+    normalized_edges = g.num_edges + len(oracles._rewritten_edges(g))
+    if normalized_edges > args.max_edges:
         print(
-            f"skipped: enumeration infeasible (|E|={ng.num_edges} after normalization "
+            f"skipped: enumeration infeasible (|E|={normalized_edges} after normalization "
             f"> {args.max_edges})"
         )
         return 0
+    ng, _ = oracles.normalize(g)
     oracles.require_best_size(ng)
 
     failures = []

@@ -79,8 +79,10 @@ class Graph:
         out_end = array("i", map(add, off, out_degree))
         next_out = list(off[:-1])
         next_in = list(out_end)
-        nbr = [0] * (2 * m)
-        eid = [0] * (2 * m)
+        # Two 4-byte entries per edge, filled in place, so that no int object
+        # is held per entry.
+        nbr = array("i", bytes(8 * m))
+        eid = array("i", bytes(8 * m))
         e = 0
         for t, h in zip(tails, heads):
             p = next_out[t]
@@ -98,8 +100,8 @@ class Graph:
         self.heads = heads
         self.off = off
         self.out_end = out_end
-        self.nbr = array("i", nbr)
-        self.eid = array("i", eid)
+        self.nbr = nbr
+        self.eid = eid
 
     @property
     def num_nodes(self) -> int:

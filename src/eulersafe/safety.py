@@ -91,25 +91,32 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     }
 
 
-def _side(g: Graph, a: Analysis, v: int, e: int, w: int) -> int:
-    """The side, 0 or 1, of the forcing degree-2 node ``v`` that edge ``e``
-    reaches through its other end ``w``, as :class:`SafetyEvidence` numbers
-    them. Without a self-loop, ``w`` is on side 1 iff ``disc[w]`` falls in
-    ``[disc[c], fin[c])`` for that child ``c``.
+def _split(g: Graph, a: Analysis, v: int) -> tuple[int, int, int]:
+    """How the forcing degree-2 node ``v`` splits its edge ends into the two
+    sides :class:`SafetyEvidence` numbers, as ``(loop, lo, hi)``.
+
+    An edge end ``e`` at ``v`` whose other end is ``w`` lies on side 1 iff
+    ``e == loop`` or ``lo <= disc[w] < hi``. With a self-loop, ``loop`` is
+    v's last one and the interval is empty; without, ``loop`` is -1 and
+    ``[lo, hi)`` is the ``[disc, fin)`` interval of v's latest-discovered
+    child that opens a block.
     """
     nbr = g.nbr
     start = g.off[v]
     # The out part of a degree-2 node is start, start + 1, by edge id.
     if nbr[start + 1] == v:
-        return int(e == g.eid[start + 1])
+        return g.eid[start + 1], 0, 0
     if nbr[start] == v:
-        return int(e == g.eid[start])
+        return g.eid[start], 0, 0
     disc = a.disc
+    parent = a.parent
+    opens = a.opens
     latest = -1
-    for c in nbr[start : start + 4]:
-        if a.parent[c] == v and a.opens[c] and (latest < 0 or disc[c] > disc[latest]):
+    for i in range(start, start + 4):
+        c = nbr[i]
+        if parent[c] == v and opens[c] and (latest < 0 or disc[c] > disc[latest]):
             latest = c
-    return int(disc[latest] <= disc[w] < a.fin[latest])
+    return -1, disc[latest], a.fin[latest]
 
 
 def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> list[int]:
@@ -121,6 +128,7 @@ def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> list[int]:
     out_end = g.out_end
     nbr = g.nbr
     eid = g.eid
+    disc = a.disc
     for v, forcing in enumerate(in_a):
         if not forcing:
             continue
@@ -129,9 +137,11 @@ def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> list[int]:
         if mid - start == 1:
             succ[eid[mid]] = eid[start]
             continue
-        s0 = _side(g, a, v, eid[start], nbr[start])
+        loop, lo, hi = _split(g, a, v)
+        s0 = eid[start] == loop or lo <= disc[nbr[start]] < hi
         for i in (mid, mid + 1):
-            succ[eid[i]] = eid[start + (_side(g, a, v, eid[i], nbr[i]) == s0)]
+            e = eid[i]
+            succ[e] = eid[start + ((e == loop or lo <= disc[nbr[i]] < hi) == s0)]
     return succ
 
 
@@ -140,7 +150,7 @@ class SafePairChecker:
 
     Construction runs the analysis pass once, O(|E|). Each query then takes
     O(1): at a forcing degree-2 node the pair is safe iff its two edges lie
-    on different sides, as :func:`_side` reads them off the pass.
+    on different sides, as :func:`_split` reads them off the pass.
     """
 
     def __init__(self, g: Graph):
@@ -165,8 +175,10 @@ class SafePairChecker:
             return SafetyEvidence(False, "degree-too-high")
         if not self._in_a[v]:
             return SafetyEvidence(False, "not-forced")
-        cu = _side(g, self._a, v, e1, g.tails[e1])
-        cw = _side(g, self._a, v, e2, g.heads[e2])
+        loop, lo, hi = _split(g, self._a, v)
+        disc = self._a.disc
+        cu = int(e1 == loop or lo <= disc[g.tails[e1]] < hi)
+        cw = int(e2 == loop or lo <= disc[g.heads[e2]] < hi)
         if cu != cw:
             return SafetyEvidence(True, "cut-split", component_u=cu, component_w=cw)
         return SafetyEvidence(False, "not-in-any-circuit", component_u=cu, component_w=cw)

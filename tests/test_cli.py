@@ -236,6 +236,82 @@ class TestSafeMatchesReference:
         assert unique[True] > 50 and unique[False] > 50
 
 
+def hub_graph(cycles: int) -> str:
+    """Two-edge cycles through one hub: one maximal safe walk per cycle
+    once the hub has degree 3 or more, the whole circuit below that."""
+    return "".join(f"h a{i}\na{i} h\n" for i in range(cycles))
+
+
+class RecordingStdout:
+    """Stands in for ``sys.stdout`` and keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def safe_child(path: str, *args: str, unbuffered: bool) -> tuple[list[str], dict[str, str]]:
+    """Command line and environment of a ``safe`` child process, with
+    stdout unbuffered or not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return [sys.executable, "-m", "eulersafe.cli", "safe", path, *args], env
+
+
+class TestSafeBatches:
+    """`safe` writes its lines joined, at most 1024 walks per write."""
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("walks", [1, 1023, 1024, 1025, 3000])
+    def test_write_count(self, graph_file, monkeypatch, fmt, walks):
+        text = hub_graph(walks)
+        g = parse_edge_list(text)
+        assert len(maximal_safe_walks(g).walks) == walks
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["safe", graph_file(text), "--format", fmt]) == 0
+        assert "".join(stdout.writes) == reference_safe_output(g, fmt)
+        assert len(stdout.writes) <= -(-walks // 1024) + 1
+        walk_marker = "(length " if fmt == "text" else '"record":"walk"'
+        assert max(w.count(walk_marker) for w in stdout.writes) <= 1024
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_same_bytes_unbuffered(self, graph_file, fmt):
+        text = hub_graph(3000)
+        path = graph_file(text)
+        outputs = []
+        for unbuffered in (False, True):
+            command, env = safe_child(path, "--format", fmt, unbuffered=unbuffered)
+            result = subprocess.run(command, capture_output=True, env=env, timeout=60)
+            assert (result.returncode, result.stderr) == (0, b"")
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == reference_safe_output(parse_edge_list(text), fmt).encode()
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_reader_gone_is_one_line(self, graph_file, unbuffered):
+        # About 280 kB of output, more than a pipe holds, so the child is
+        # still writing when the reader closes its end.
+        command, env = safe_child(graph_file(hub_graph(5000)), unbuffered=unbuffered)
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as child:
+            assert child.stdout.readline() == b"edges: 10000\n"
+            child.stdout.close()
+            _, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
 class TestCount:
     def test_default_method(self, graph_file, capsys):
         assert cli.main(["count", graph_file(BIDIRECTED)]) == 0
@@ -307,6 +383,24 @@ class TestOracleCompare:
         out = capsys.readouterr().out
         assert out.startswith("FAIL:")
         assert "safe walks" in out
+
+    @pytest.mark.parametrize(
+        "text, max_edges, normalized",
+        [(FIGURE_EIGHT, "5", 6), ("a a\n" * 14, "14", 28), (MULTI, "5", 6)],
+        ids=["simple", "loops", "parallel"],
+    )
+    def test_skip_before_normalizing(
+        self, graph_file, capsys, monkeypatch, text, max_edges, normalized
+    ):
+        def refuse(g):
+            raise AssertionError("normalize ran on a graph over the cap")
+
+        monkeypatch.setattr("eulersafe.oracles.normalize", refuse)
+        assert cli.main(["oracle-compare", graph_file(text), "--max-edges", max_edges]) == 0
+        assert capsys.readouterr().out == (
+            f"skipped: enumeration infeasible (|E|={normalized} after normalization "
+            f"> {max_edges})\n"
+        )
 
     def test_pevzner_fault_is_caught(self, graph_file, capsys, monkeypatch):
         # A cycle-intersection verdict that disagrees with uniqueness fails.

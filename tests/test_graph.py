@@ -1,5 +1,6 @@
 """Parsing, the multigraph model, normalization, and the analysis pass."""
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -23,6 +24,7 @@ from eulersafe import (
 from eulersafe import graph
 from eulersafe.circuit import find_eulerian_circuit
 from eulersafe.oracles import is_simple
+from test_cli import cactus_edges
 
 
 def out_edges(g, v):
@@ -69,6 +71,19 @@ class TestParseEdgeList:
     def test_blank_lines_skipped(self):
         g = parse_edge_list("\na b\n\nb a\n")
         assert g.num_edges == 2
+
+
+def test_parse_peaks_under_twice_the_graph():
+    # The CSR is filled in place, with no int object held per entry.
+    text = "".join(f"{t} {h}\n" for t, h in cactus_edges(100_000, seed=11))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.num_nodes == 100_000
+    assert peak <= 2 * held
 
 
 class TestGraphModel:
