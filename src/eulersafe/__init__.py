@@ -6,8 +6,7 @@ circuit, and the full set of maximal safe walks. Independent oracles
 (exhaustive enumeration, determinant-based counting, cycle-intersection
 test) are provided for verification; exact circuit counting factors the
 BEST theorem over biconnected blocks. Self-loops and parallel edges are
-analysed as they are; ``normalize`` only feeds the oracles that need a
-simple graph.
+analysed as they are, by the oracles too.
 
 Importing the package loads none of its submodules: each public name is
 imported from its submodule on first access, so a command pays only for
@@ -19,7 +18,7 @@ from importlib import import_module
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     "Circuit": "graph",
-    "ComponentSplit": "undirected",
+    "ComponentSplit": "oracles",
     "ContractError": "graph",
     "CountReport": "oracles",
     "EnumerationOverflow": "oracles",
@@ -34,11 +33,11 @@ _SUBMODULE = {
     "SafePairChecker": "safety",
     "SafeWalkReport": "safety",
     "SafetyEvidence": "safety",
-    "articulation_points": "undirected",
+    "articulation_points": "graph",
     "brute_force_safe_walks": "oracles",
     "canonical_rotation": "circuit",
     "classify_nodes": "safety",
-    "component_split": "undirected",
+    "component_split": "oracles",
     "count_arborescences": "oracles",
     "count_best": "oracles",
     "count_circuits": "circuit",
@@ -56,7 +55,7 @@ _SUBMODULE = {
     "pevzner_intersection_graph": "oracles",
     "random_eulerian_edges": "generator",
     "swap_at_node": "circuit",
-    "underlying_undirected": "undirected",
+    "underlying_undirected": "graph",
     "verify_circuit": "circuit",
     "walk_nodes": "graph",
 }

@@ -1,13 +1,12 @@
-"""Eulerian circuit construction (Hierholzer), exact circuit counting, and
-circuit surgery."""
+"""Eulerian circuit construction (Hierholzer), exact circuit counting over
+biconnected blocks, and circuit surgery."""
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial, lgamma, log, log10
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .graph import Circuit, ContractError, Graph, is_eulerian
-from .undirected import edge_blocks
+from .graph import Circuit, ContractError, Graph, is_eulerian, require_eulerian
 
 if TYPE_CHECKING:
     import random
@@ -40,6 +39,8 @@ def find_eulerian_circuit(
     deterministic; passing ``rng`` shuffles the per-node consumption order
     instead (used to check that downstream results do not depend on the
     particular circuit). The circuit is rotated to start with edge id 0.
+    ``stats`` receives the stack push count; it remains for ``bench/``
+    until ROADMAP item 1.
 
     Raises :class:`ContractError` naming the failed Euler condition when the
     graph is not Eulerian.
@@ -106,6 +107,36 @@ def verify_circuit(g: Graph, c: Circuit) -> bool:
         if heads[edges[i]] != tails[edges[i + 1]]:
             return False
     return heads[edges[-1]] == tails[edges[0]]
+
+
+def edge_blocks(g: Graph) -> tuple[list[int], int]:
+    """Biconnected block id of every edge, from the analysis pass.
+
+    Returns ``(block, count)``: ``block[e]`` in ``0..count-1`` for each
+    non-loop edge id ``e`` and -1 for a self-loop, which belongs to no
+    block. In discovery order a node either opens a new block with its
+    tree edge or continues its parent's; an edge then belongs to the block
+    of its endpoint discovered later (tree edges and back edges alike).
+    Raises :class:`ContractError` if ``g`` is not Eulerian.
+    """
+    a = require_eulerian(g)
+    disc = a.disc
+    order = [0] * len(disc)
+    for v, d in enumerate(disc):
+        order[d] = v
+    node_block = [-1] * len(disc)
+    count = 0
+    for w in order[1:]:
+        if a.opens[w]:
+            node_block[w] = count
+            count += 1
+        else:
+            node_block[w] = node_block[a.parent[w]]
+    block = [-1] * g.num_edges
+    for e, (t, h) in enumerate(zip(g.tails, g.heads)):
+        if t != h:
+            block[e] = node_block[t if disc[t] > disc[h] else h]
+    return block, count
 
 
 def count_circuits(g: Graph) -> int:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator, Optional
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
@@ -55,18 +56,9 @@ def cmd_safe(args) -> int:
 
     g = _load_graph(args.path)
     report = maximal_safe_walks(g)
-    tails = g.tails
-    heads = g.heads
-    # Walk lines go out joined, 1024 per write. A write per line costs a
-    # system call each when stdout is unbuffered; one write of everything
-    # would hold every line, and then their join, in memory. The header has
-    # its own write, so that a lone walk (a unique circuit) is written
-    # without a joined copy.
     write = sys.stdout.write
-    lines: list[str] = []
     if args.format == "structured":
         import json
-        from json.encoder import encode_basestring_ascii
 
         header = {
             "record": "header",
@@ -76,21 +68,7 @@ def cmd_safe(args) -> int:
             "unique": report.unique_circuit,
         }
         write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        # json.dumps escapes strings with this same function under its
-        # default ensure_ascii=True, so each label is encoded once and every
-        # record below matches json.dumps(record, sort_keys=True,
-        # separators=(",", ":")) byte for byte.
-        quoted = [encode_basestring_ascii(label) for label in g.labels]
-        for index, walk in enumerate(report.walks):
-            edges = ",".join(map(str, walk))
-            nodes = ",".join([quoted[heads[e]] for e in walk])
-            lines.append(
-                f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
-                f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
-            )
-            if len(lines) == 1024:
-                write("".join(lines))
-                lines.clear()
+        lines = _structured_walk_lines(g, report)
     else:
         write(
             f"edges: {g.num_edges}\n"
@@ -98,20 +76,47 @@ def cmd_safe(args) -> int:
             f"total length: {report.total_edge_length}\n"
             f"unique circuit: {'yes' if report.unique_circuit else 'no'}\n"
         )
-        labels = g.labels
-        for index, walk in enumerate(report.walks):
-            nodes = " -> ".join([labels[heads[e]] for e in walk])
-            ids = " ".join(map(str, walk))
-            lines.append(
-                f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
-                f"[edges {ids}]\n"
-            )
-            if len(lines) == 1024:
-                write("".join(lines))
-                lines.clear()
-    if lines:
-        write("".join(lines))
+        lines = _text_walk_lines(g, report)
+    # Walk lines go out joined, 1024 per write. A write per line costs a
+    # system call each when stdout is unbuffered; one write of everything
+    # would hold every line, and then their join, in memory. The header has
+    # its own write, so that a lone walk (a unique circuit) is written
+    # without a joined copy.
+    for _ in range(0, len(report.walks), 1024):
+        write("".join(islice(lines, 1024)))
     return 0
+
+
+def _text_walk_lines(g: Graph, report: SafeWalkReport) -> Iterator[str]:
+    labels = g.labels
+    tails = g.tails
+    heads = g.heads
+    for index, walk in enumerate(report.walks):
+        nodes = " -> ".join([labels[heads[e]] for e in walk])
+        ids = " ".join(map(str, walk))
+        yield (
+            f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
+            f"[edges {ids}]\n"
+        )
+
+
+def _structured_walk_lines(g: Graph, report: SafeWalkReport) -> Iterator[str]:
+    from json.encoder import encode_basestring_ascii
+
+    # json.dumps escapes strings with this same function under its default
+    # ensure_ascii=True, so each label is encoded once and every record
+    # matches json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # byte for byte.
+    quoted = [encode_basestring_ascii(label) for label in g.labels]
+    tails = g.tails
+    heads = g.heads
+    for index, walk in enumerate(report.walks):
+        edges = ",".join(map(str, walk))
+        nodes = ",".join([quoted[heads[e]] for e in walk])
+        yield (
+            f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
+            f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
+        )
 
 
 def cmd_count(args) -> int:
@@ -156,8 +161,8 @@ def cmd_oracle_compare(args) -> int:
     # (one node with k loops has (k - 1)!), so the cap counts the edges of
     # the normalized graph, where each loop and parallel copy counts twice.
     # The raw graph has the same circuits and a search tree no larger.
-    # Normalization splits each rewritten edge in two, so the count is known
-    # before the normalized graph is built.
+    # Normalization would split each rewritten edge in two, so the count
+    # needs no normalized graph. Every oracle below runs on the raw graph.
     normalized_edges = g.num_edges + len(oracles._rewritten_edges(g))
     if normalized_edges > args.max_edges:
         print(
@@ -165,12 +170,11 @@ def cmd_oracle_compare(args) -> int:
             f"> {args.max_edges})"
         )
         return 0
-    ng, _ = oracles.normalize(g)
-    oracles.require_best_size(ng)
+    oracles.require_best_size(g)
 
     failures = []
     enumerated, _ = oracles.count_eulerian_circuits(g)
-    best = oracles.count_best(ng)
+    best = oracles.count_best(g)
     blocks = count_circuits(g)
     unique = safety.has_unique_eulerian_circuit(g)
     if not blocks == best.epsilon == enumerated:
@@ -190,7 +194,7 @@ def cmd_oracle_compare(args) -> int:
         failures.append(
             f"conservation: walks cover {report.total_edge_length} of {g.num_edges} edges"
         )
-    intersection = oracles.pevzner_intersection_graph(ng)
+    intersection = oracles.pevzner_intersection_graph(g)
     if intersection.is_tree != unique:
         failures.append(
             f"uniqueness: cycle-intersection tree test gives {intersection.is_tree}, "

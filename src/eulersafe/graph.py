@@ -318,3 +318,16 @@ def require_eulerian(g: Graph) -> Analysis:
     if not analysis.check.ok:
         raise ContractError(f"graph is not Eulerian: {analysis.check.detail}")
     return analysis
+
+
+def articulation_points(g: Graph) -> set[str]:
+    """Labels of exactly the nodes whose removal disconnects the underlying
+    undirected graph of the Eulerian graph ``g``."""
+    return {label for label, cut in zip(g.labels, require_eulerian(g).cut) if cut}
+
+
+def underlying_undirected(g: Graph) -> Graph:
+    """The undirected view of ``g``, which is ``g`` itself: its CSR already
+    lists every edge at both endpoints. It remains for ``bench/`` until
+    ROADMAP item 1."""
+    return g

@@ -3,19 +3,20 @@
 Everything here is deliberately exponential or determinant-based so that it
 shares no code path with the linear-time pipeline it cross-checks:
 exhaustive circuit enumeration, arborescence counting via exact integer
-determinants, brute-force safe walks straight from the definition, and the
-classic cycle-intersection-graph uniqueness test. The one shared routine is
-the Bareiss determinant, which the dense :func:`count_best` borrows from the
-block-factored production counter. :func:`normalize` rewrites a multigraph
-into a simple one, and exists only to feed the two oracles that need one,
-:func:`count_best` and :func:`pevzner_intersection_graph`.
+determinants, brute-force safe walks and component splits straight from
+the definition, and the classic cycle-intersection-graph uniqueness test.
+The one shared routine is the Bareiss determinant, which the dense
+:func:`count_best` borrows from the block-factored production counter.
+
+Every oracle takes a multigraph as it is. :func:`normalize`, which rewrites
+self-loops and parallel edges into two-edge paths, feeds none of them; it
+remains for ``bench/`` until ROADMAP item 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
 from .graph import Circuit, ContractError, Graph, GraphError, require_eulerian
@@ -26,8 +27,7 @@ class EnumerationOverflow(GraphError):
     """Exhaustive enumeration hit its circuit cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """Eulerian circuits, one per rotation class (anchored at edge id 0)."""
 
     circuits: tuple[Circuit, ...]
@@ -38,8 +38,7 @@ class EnumerationResult:
         return len(self.circuits)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact circuit count and its two factors, as Python big integers."""
 
     epsilon: int
@@ -48,8 +47,7 @@ class CountReport:
     root: str
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
+class IntersectionGraph(NamedTuple):
     """Cycle decomposition and its intersection graph.
 
     ``cycles[i]`` is a node-label sequence with first == last;
@@ -64,9 +62,9 @@ class IntersectionGraph:
     is_tree: bool
 
 
-@dataclass(frozen=True)
-class NormalizationMap:
-    """Provenance of a normalization pass.
+class NormalizationMap(NamedTuple):
+    """Provenance of a normalization pass. It remains for ``bench/`` until
+    ROADMAP item 1.
 
     ``origin[e]`` is the original edge id behind normalized edge ``e``;
     ``half[e]`` is 0 for an untouched edge or the first half of a subdivided
@@ -120,17 +118,6 @@ def _rewritten_edges(g: Graph) -> list[int]:
     return found
 
 
-def is_simple(g: Graph) -> bool:
-    """True iff the graph has no self-loop and no parallel edge pair."""
-    return not _rewritten_edges(g)
-
-
-def require_simple(g: Graph) -> None:
-    """Raise :class:`ContractError` if the graph has loops or parallel edges."""
-    if not is_simple(g):
-        raise ContractError("graph must be normalized (no self-loops or parallel edges)")
-
-
 def _fresh_label(base_index: dict[str, int], taken: set[str], counter: int) -> tuple[str, int]:
     while True:
         label = f"s{counter}"
@@ -144,9 +131,10 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
 
     Within a group of parallel edges the lowest edge id is kept intact and
     the rest are subdivided through fresh nodes; every self-loop is
-    subdivided. The result satisfies the simple-graph invariant. If the
-    input is already simple, the same Graph object is returned with an
-    identity map.
+    subdivided. The result has no self-loop and no parallel edge pair. If
+    the input has neither, the same Graph object is returned with an
+    identity map. No oracle needs this rewrite; it remains for ``bench/``
+    until ROADMAP item 1.
     """
     m = g.num_edges
     rewritten = _rewritten_edges(g)
@@ -347,8 +335,9 @@ def require_best_size(g: Graph) -> None:
     take a determinant with more rows than :data:`MAX_BLOCK_NODES`, the
     bound of one block of the production counter.
 
-    :func:`count_best` does not call this itself yet: the benchmark's
-    per-layer trace times it on larger count inputs (ROADMAP item 3).
+    :func:`count_best` does not call this itself: the benchmark's count
+    inputs are 200-node cacti, which need a 199-row determinant, and its
+    per-layer trace times :func:`count_best` on them (ROADMAP item 1).
     """
     if g.num_nodes - 1 > MAX_BLOCK_NODES:
         raise ContractError(
@@ -359,9 +348,16 @@ def require_best_size(g: Graph) -> None:
 
 def count_best(g: Graph) -> CountReport:
     """Exact number of Eulerian circuits: arborescence count times the
-    product of (degree - 1)! over all nodes."""
+    product of (degree - 1)! over all nodes (the BEST theorem).
+
+    Self-loops and parallel edges are taken as they are; a self-loop adds
+    to its node's degree and cancels out of the Laplacian. The theorem
+    holds on multigraphs unchanged: subdividing an edge through a fresh
+    node maps circuits one to one, keeps the arborescence count (the fresh
+    node's one out-edge is in every arborescence) and adds a node of
+    degree 1, whose factor is 0! = 1.
+    """
     require_eulerian(g)
-    require_simple(g)
     root = g.labels[0]
     t = count_arborescences(g, root)
     product = 1
@@ -434,6 +430,49 @@ def brute_force_safe_walks(g: Graph, cap: Optional[int] = None) -> SafeWalkRepor
     return SafeWalkReport(walks=tuple(walks), unique_circuit=False, total_edge_length=total)
 
 
+class ComponentSplit(NamedTuple):
+    """Connected components of the graph with one node removed."""
+
+    removed: str
+    component: dict[str, int]  # remaining node label -> component id
+    count: int
+
+
+def component_split(g: Graph, v: str) -> ComponentSplit:
+    """Label every node of the underlying undirected graph minus ``v`` by
+    its connected component, numbered in order of their lowest node id.
+
+    A plain traversal straight from the definition, O(|E|) per call: the
+    reference for the cut flags and pair sides that the analysis pass
+    gives in one DFS.
+    """
+    root = g.index.get(v)
+    if root is None:
+        raise ContractError(f"node '{v}' is not in the graph")
+    n = g.num_nodes
+    off = g.off
+    nbr = g.nbr
+    comp = [-1] * n
+    comp[root] = -2
+    count = 0
+    for s in range(n):
+        if comp[s] != -1:
+            continue
+        comp[s] = count
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for i in range(off[x], off[x + 1]):
+                w = nbr[i]
+                if comp[w] == -1:
+                    comp[w] = count
+                    stack.append(w)
+        count += 1
+    labels = g.labels
+    mapping = {labels[x]: comp[x] for x in range(n) if x != root}
+    return ComponentSplit(removed=v, component=mapping, count=count)
+
+
 def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
     """Decompose the edges into simple cycles and intersect them.
 
@@ -446,9 +485,14 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
     intersection graph makes its shared node a cut node, so the edge of a
     degree-2 node that is not one lies on a cycle. If every node forces, a
     cycle would join the two sides of a cut node without it: there is none.
+
+    Self-loops and parallel edges are taken as they are: a self-loop is a
+    cycle of one edge, a parallel pair can close a cycle of two. The
+    verdict holds on multigraphs unchanged: subdividing an edge through a
+    fresh node maps circuits one to one, and the fresh node lies on exactly
+    one cycle of the decomposition, so it adds no intersection edge.
     """
     require_eulerian(g)
-    require_simple(g)
     m = g.num_edges
     tails = g.tails
     heads = g.heads

@@ -208,9 +208,10 @@ def maximal_safe_walks(
     edge leaving a non-forcing node, the walks in ascending order of that
     first edge id, and ends at the next non-forcing node. If every node is
     forcing the circuit is unique and reported whole, from edge id 0.
-    Multigraphs are taken as they are; ``norm_map``, from
+    Multigraphs are taken as they are. ``norm_map``, from
     :func:`~eulersafe.oracles.normalize`, projects walks over a normalized
-    graph back to the original edge ids.
+    graph back to the original edge ids; it remains for ``bench/`` until
+    ROADMAP item 1.
     """
     a = require_eulerian(g)
     _, in_a = _node_class_arrays(g, a)

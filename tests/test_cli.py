@@ -1,6 +1,5 @@
 """End-to-end command-line behavior, including exit codes."""
 import argparse
-import dataclasses
 import json
 import os
 import random
@@ -402,11 +401,27 @@ class TestOracleCompare:
             f"> {max_edges})\n"
         )
 
+    def test_oracles_run_on_the_raw_graph(self, graph_file, capsys, monkeypatch):
+        def refuse(g):
+            raise AssertionError("normalize ran")
+
+        monkeypatch.setattr("eulersafe.oracles.normalize", refuse)
+        outcomes = Counter()
+        for g in raw_multigraphs(150, seed=5):
+            edges = list(g.edge_pairs())
+            text = "".join(f"{t} {h}\n" for t, h in edges)
+            assert cli.main(["oracle-compare", graph_file(text)]) == 0, edges
+            out = capsys.readouterr().out
+            assert out == "PASS\n" or out.startswith("skipped: "), (edges, out)
+            multigraph = len(set(edges)) < len(edges) or any(t == h for t, h in edges)
+            outcomes[out[:4], multigraph] += 1
+        assert outcomes["PASS", True] > 50
+
     def test_pevzner_fault_is_caught(self, graph_file, capsys, monkeypatch):
         # A cycle-intersection verdict that disagrees with uniqueness fails.
-        def flipped(ng):
-            verdict = pevzner_intersection_graph(ng)
-            return dataclasses.replace(verdict, is_tree=not verdict.is_tree)
+        def flipped(g):
+            verdict = pevzner_intersection_graph(g)
+            return verdict._replace(is_tree=not verdict.is_tree)
 
         monkeypatch.setattr("eulersafe.oracles.pevzner_intersection_graph", flipped)
         assert cli.main(["oracle-compare", graph_file(FIGURE_EIGHT)]) == 1

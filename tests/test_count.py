@@ -16,8 +16,7 @@ from eulersafe import (
     normalize,
     underlying_undirected,
 )
-from eulersafe.circuit import MAX_BLOCK_NODES
-from eulersafe.undirected import edge_blocks
+from eulersafe.circuit import MAX_BLOCK_NODES, edge_blocks
 
 
 def brute_force_blocks(g: Graph) -> list[int]:

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from itertools import combinations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,18 @@ from eulersafe.oracles import (
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
+from test_safety import raw_multigraphs
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import make_cactus  # noqa: E402
+
+
+def feasible_raw_multigraphs():
+    """Seeded raw multigraphs, self-loops and parallel edges included, small
+    enough to enumerate."""
+    for g in raw_multigraphs(1000, seed=99):
+        if g.num_edges <= 12:
+            yield g
 
 
 class TestEnumeration:
@@ -184,9 +194,22 @@ class TestCircuitCounting:
             assert not capped
             assert count_best(g).epsilon == count, list(g.edge_pairs())
 
-    def test_rejects_multigraph(self):
-        with pytest.raises(ContractError, match="normalized"):
-            count_best(Graph([("a", "a")]))
+    def test_matches_counters_on_raw_multigraphs(self):
+        # The BEST theorem holds on multigraphs as they are: no rewrite.
+        for g in feasible_raw_multigraphs():
+            report = count_best(g)
+            assert report.epsilon == count_circuits(g) == count_eulerian_circuits(g)[0], list(
+                g.edge_pairs()
+            )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_loops_at_one_node(self, d):
+        report = count_best(Graph([("a", "a")] * d))
+        assert (report.epsilon, report.t, report.degree_factorial_product) == (
+            factorial(d - 1),
+            1,
+            factorial(d - 1),
+        )
 
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError, match="not Eulerian"):
@@ -261,8 +284,25 @@ class TestIntersectionGraph:
                 g
             ), list(g.edge_pairs())
 
-    def test_rejects_multigraph(self):
-        with pytest.raises(ContractError, match="normalized"):
-            pevzner_intersection_graph(
-                Graph([("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")])
-            )
+    def test_tree_verdict_on_raw_multigraphs(self):
+        for g in feasible_raw_multigraphs():
+            assert pevzner_intersection_graph(g).is_tree == has_unique_eulerian_circuit(
+                g
+            ), list(g.edge_pairs())
+
+    def test_parallel_pair_cycles_meet_twice(self):
+        gi = pevzner_intersection_graph(
+            Graph([("a", "b"), ("a", "b"), ("b", "a"), ("b", "a")])
+        )
+        assert gi.cycle_edges == ((0, 2), (1, 3))
+        assert sorted(gi.edges) == [(0, 1, "a"), (0, 1, "b")]
+        assert not gi.is_tree
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_loops_at_one_node(self, d):
+        # d loops pairwise share their node: a tree up to two loops, as
+        # (d - 1)! circuits are unique only up to d = 2.
+        g = Graph([("a", "a")] * d)
+        gi = pevzner_intersection_graph(g)
+        assert gi.cycles == (("a", "a"),) * d
+        assert gi.is_tree == (d <= 2) == has_unique_eulerian_circuit(g)

@@ -1,6 +1,7 @@
 """Start-up cost: each command imports only the code it runs, the package
 resolves its public names on first access, and the result records behave
 as the immutable tuples they are."""
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import eulersafe
 from eulersafe import Circuit, ComponentSplit, EulerCheck, SafetyEvidence, SafeWalkReport
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
 
 # Runs one command, then lists every loaded module on stderr. The child
@@ -32,14 +34,14 @@ COMMANDS = {
 }
 
 
-def loaded_modules(args: list[str]) -> set[str]:
+def loaded_modules(args: list[str], probe: str = PROBE) -> set[str]:
     env = dict(
         os.environ,
         PYTHONPATH=str(Path(eulersafe.__file__).parents[1]),
         PYTHONDONTWRITEBYTECODE="1",
     )
     result = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, *args],
+        [sys.executable, "-S", "-c", probe, *args],
         capture_output=True,
         text=True,
         timeout=60,
@@ -60,6 +62,22 @@ def test_command_loads_only_what_it_runs(command, tmp_path):
     if command == "check":
         assert sorted({"eulersafe.safety", "eulersafe.circuit"} & loaded) == []
     assert ("json" in loaded) == (command == "safe-structured")
+
+
+def test_pair_script_imports_load_no_dataclasses():
+    # The benchmark's pair script imports the oracles module for normalize;
+    # its records are NamedTuples, so neither dataclasses nor inspect loads.
+    tree = ast.parse((BENCH / "pairs.py").read_text(encoding="utf-8"))
+    imports = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "eulersafe"
+    ]
+    assert imports
+    probe = imports[0] + '\nimport sys\nsys.stderr.write("\\n".join(sys.modules))\n'
+    loaded = loaded_modules([], probe)
+    assert "eulersafe.oracles" in loaded
+    assert sorted({"dataclasses", "inspect"} & loaded) == []
 
 
 def test_star_import_binds_every_public_name():
