@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial, lgamma, log, log10
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graph import Circuit, ContractError, Graph, is_eulerian, require_eulerian
-
-if TYPE_CHECKING:
-    import random
+from .graph import Circuit, ContractError, Graph, is_valid_walk, require_eulerian
 
 # Bound on the dense determinants of count_circuits: the reduced blocks'
 # kept-node counts k must satisfy sum(k**3) <= MAX_BLOCK_NODES**3, so the
@@ -28,35 +25,22 @@ MAX_BLOCK_NODES = 150
 MAX_COUNT_DIGITS = 100_000
 
 
-def find_eulerian_circuit(
-    g: Graph,
-    rng: Optional[random.Random] = None,
-    stats: Optional[dict] = None,
-) -> Circuit:
-    """Build an Eulerian circuit in O(|E|) time.
+def find_eulerian_circuit(g: Graph, stats: Optional[dict] = None) -> Circuit:
+    """Build an Eulerian circuit in O(|E|) time (Hierholzer).
 
     Out-edges are consumed in ascending edge-id order, so the result is
-    deterministic; passing ``rng`` shuffles the per-node consumption order
-    instead (used to check that downstream results do not depend on the
-    particular circuit). The circuit is rotated to start with edge id 0.
-    ``stats`` receives the stack push count; it remains for ``bench/``
-    until ROADMAP item 1.
+    deterministic; :func:`eulersafe.oracles.enumerate_eulerian_circuits`
+    gives every other circuit. The circuit is rotated to start with edge
+    id 0. ``stats`` receives the stack push count; it remains for
+    ``bench/`` until ROADMAP item 1.
 
     Raises :class:`ContractError` naming the failed Euler condition when the
     graph is not Eulerian.
     """
-    check = is_eulerian(g)
-    if not check.ok:
-        raise ContractError(f"cannot build Eulerian circuit: {check.detail}")
+    require_eulerian(g)
     heads = g.heads
     out_end = g.out_end
     out = g.eid
-    if rng is not None:
-        out = list(out)
-        for start, end in zip(g.off, out_end):
-            part = out[start:end]
-            rng.shuffle(part)
-            out[start:end] = part
     cursor = list(g.off)
     # Parallel stacks (node, edge used to enter it). When a node has no
     # unused out-edge left, its entry edge is emitted; reversing at the end
@@ -93,20 +77,11 @@ def verify_circuit(g: Graph, c: Circuit) -> bool:
     """True iff ``c`` is head-to-tail consistent, closed, and uses every
     edge id of ``g`` exactly once."""
     edges = c.edges
-    m = g.num_edges
-    if len(edges) != m:
-        return False
-    seen = bytearray(m)
-    for e in edges:
-        if e < 0 or e >= m or seen[e]:
-            return False
-        seen[e] = 1
-    tails = g.tails
-    heads = g.heads
-    for i in range(len(edges) - 1):
-        if heads[edges[i]] != tails[edges[i + 1]]:
-            return False
-    return heads[edges[-1]] == tails[edges[0]]
+    return (
+        len(set(edges)) == len(edges) == g.num_edges
+        and is_valid_walk(g, edges)
+        and g.heads[edges[-1]] == g.tails[edges[0]]
+    )
 
 
 def edge_blocks(g: Graph) -> tuple[list[int], int]:

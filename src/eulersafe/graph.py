@@ -62,10 +62,7 @@ class Graph:
             heads.append(intern(head, len(index)))
         if not tails:
             raise GraphError("graph must have at least one edge")
-        self._store(index, tails, heads)
-
-    def _store(self, index: dict[str, int], tails: array, heads: array) -> None:
-        """Keep the interned edges and fill the CSR: count, then place."""
+        # The CSR: count, then place.
         n = len(index)
         m = len(tails)
         out_degree = [0] * n
@@ -173,16 +170,18 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are skipped. Raises
     :class:`ParseError` on a malformed line (with its 1-based number) or on
-    an empty edge set. Labels are interned straight into the graph's edge
-    arrays.
+    an empty edge set. Lines are tokenized one at a time, straight into
+    the graph's edge arrays.
     """
-    index: dict[str, int] = {}
-    intern = index.setdefault
-    tails = array("i")
-    heads = array("i")
+    return Graph(_edge_tokens(text))
+
+
+def _edge_tokens(text: str) -> Iterator[list[str]]:
+    """Yield the ``[tail, head]`` token pair of every edge line of ``text``."""
     # Lines end at "\n" only: str.splitlines() also breaks at form feeds,
     # U+0085, U+2028 and other separators, which would misnumber every
     # later line. split() below treats those characters as whitespace.
+    empty = True
     for lineno, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
@@ -191,13 +190,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(
                 f"line {lineno}: expected 'tail head', got {len(tokens)} token(s)"
             )
-        tails.append(intern(tokens[0], len(index)))
-        heads.append(intern(tokens[1], len(index)))
-    if not tails:
+        empty = False
+        yield tokens
+    if empty:
         raise ParseError("graph must have at least one edge")
-    g = Graph.__new__(Graph)
-    g._store(index, tails, heads)
-    return g
 
 
 class EulerCheck(NamedTuple):

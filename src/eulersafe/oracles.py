@@ -14,9 +14,9 @@ remains for ``bench/`` until ROADMAP item 1.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
 from .graph import Circuit, ContractError, Graph, GraphError, require_eulerian
@@ -182,22 +182,22 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     return Graph(edges), mapping
 
 
-def _for_each_circuit(g: Graph, visit) -> None:
-    """Backtrack over unused out-edges, anchored at edge id 0.
+def _circuits(g: Graph) -> Iterator[list[int]]:
+    """Yield every Eulerian circuit of ``g``, one per rotation class,
+    anchored at edge id 0.
 
     Anchoring is valid because every Eulerian circuit uses edge 0 exactly
-    once, so ``visit`` sees each rotation class exactly once, as a mutable
-    edge-id list it must not keep. Returning False from ``visit`` stops
-    the search.
+    once. Each circuit is the search's live edge-id list: a consumer must
+    copy it to keep it, and may stop pulling at any point.
 
-    A step takes an edge only if every unused edge stays weakly connected
-    to the edge's head. In a balanced graph that is exactly the condition
-    for the trail to extend to a circuit, so every branch ends in one: a
-    step costs at most one O(|E|) search per out-edge of its node, and a
-    search that ``visit`` stops at circuit k has taken at most k * |E|
-    steps. The
-    search keeps an explicit stack, so circuit length is not limited by
-    the interpreter's recursion limit.
+    The search backtracks over unused out-edges in CSR order. A step takes
+    an edge only if every unused edge stays weakly connected to the edge's
+    head. In a balanced graph that is exactly the condition for the trail
+    to extend to a circuit, so every branch ends in one: a step costs at
+    most one O(|E|) search per out-edge of its node, and pulling k circuits
+    takes at most k * |E| steps. The search keeps an explicit stack, so
+    circuit length is not limited by the interpreter's recursion limit.
+    Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
     require_eulerian(g)
     m = g.num_edges
@@ -247,8 +247,8 @@ def _for_each_circuit(g: Graph, visit) -> None:
     # cursor[i]: next CSR entry to try among the out-edges of heads[path[i]].
     cursor = [off[heads[0]]]
     while path:
-        if len(path) == m and not visit(path):
-            return
+        if len(path) == m:
+            yield path
         v = heads[path[-1]]
         for i in range(cursor[-1], out_end[v]):
             e = out[i]
@@ -268,42 +268,34 @@ def _for_each_circuit(g: Graph, visit) -> None:
             left[tails[e]] += 1
 
 
+def _capped(g: Graph, cap: Optional[int]) -> Iterator[list[int]]:
+    """The circuits of :func:`_circuits`, at most ``cap + 1`` of them: a
+    consumer that reaches circuit ``cap + 1`` knows the cap overflowed.
+    ``cap=None`` takes them all. Raises :class:`ContractError` for a
+    negative cap."""
+    if cap is not None and cap < 0:
+        raise ContractError(f"circuit cap must be at least 0, got {cap}")
+    return islice(_circuits(g), None if cap is None else cap + 1)
+
+
 def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> EnumerationResult:
     """Collect every Eulerian circuit, one per rotation class.
 
     With ``cap`` the search stops after ``cap`` circuits and the overflow
-    flag is set if more would have followed.
+    flag is set if more would have followed. A negative ``cap`` raises
+    :class:`ContractError`.
     """
-    found: list[Circuit] = []
-    overflow = False
-
-    def visit(path: list) -> bool:
-        nonlocal overflow
-        if cap is not None and len(found) >= cap:
-            overflow = True
-            return False
-        found.append(Circuit(tuple(path)))
-        return True
-
-    _for_each_circuit(g, visit)
-    return EnumerationResult(circuits=tuple(found), overflow=overflow)
+    found = [Circuit(tuple(path)) for path in _capped(g, cap)]
+    overflow = cap is not None and len(found) > cap
+    return EnumerationResult(circuits=tuple(found[:cap]), overflow=overflow)
 
 
 def count_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> tuple[int, bool]:
     """Count rotation classes by the same backtracking, without storing them."""
-    count = 0
-    capped = False
-
-    def visit(_path: list) -> bool:
-        nonlocal count, capped
-        if cap is not None and count >= cap:
-            capped = True
-            return False
-        count += 1
-        return True
-
-    _for_each_circuit(g, visit)
-    return count, capped
+    count = sum(1 for _ in _capped(g, cap))
+    if cap is not None and count > cap:
+        return cap, True
+    return count, False
 
 
 def count_arborescences(g: Graph, root: str) -> int:
@@ -381,51 +373,40 @@ def brute_force_safe_walks(g: Graph, cap: Optional[int] = None) -> SafeWalkRepor
     internal junctions all survive. The search stops early once every
     junction is refuted (the answer is then fixed: all single edges).
     Raises :class:`EnumerationOverflow` when ``cap`` circuits are exceeded
-    while junctions are still undecided.
+    while junctions are still undecided, and :class:`ContractError` for a
+    negative ``cap``.
     """
-    state: dict = {"first": None, "succ": None, "alive": 0, "seen": 0, "multiple": False}
     m = g.num_edges
-    forced = bytearray(m)
-
-    def visit(path: list) -> bool:
-        state["seen"] += 1
-        if cap is not None and state["seen"] > cap:
+    for seen, path in enumerate(_capped(g, cap), start=1):
+        if cap is not None and seen > cap:
             raise EnumerationOverflow(
                 f"more than {cap} Eulerian circuits; brute force is not feasible"
             )
-        if state["first"] is None:
-            state["first"] = tuple(path)
+        if seen == 1:
+            base = tuple(path)
             succ = [0] * m
             for i in range(m):
                 succ[path[i]] = path[(i + 1) % m]
-                forced[path[i]] = 1
-            state["succ"] = succ
-            state["alive"] = m
-            return True
-        state["multiple"] = True
-        succ = state["succ"]
-        alive = state["alive"]
+            forced = bytearray(b"\x01") * m
+            alive = m
+            continue
         for i in range(m):
             e = path[i]
             if forced[e] and succ[e] != path[(i + 1) % m]:
                 forced[e] = 0
                 alive -= 1
-        state["alive"] = alive
-        return alive > 0
-
-    _for_each_circuit(g, visit)
-    base: tuple[int, ...] = state["first"]
-    k = len(base)
-    if not state["multiple"]:
-        return SafeWalkReport(walks=(base,), unique_circuit=True, total_edge_length=k)
+        if not alive:
+            break
+    if seen == 1:
+        return SafeWalkReport(walks=(base,), unique_circuit=True, total_edge_length=m)
     # Cut the first circuit after every edge whose successor was refuted.
-    cut_after = [i for i in range(k) if not forced[base[i]]]
+    cut_after = [i for i in range(m) if not forced[base[i]]]
     walks: list[tuple[int, ...]] = []
     for idx, a in enumerate(cut_after):
-        b = cut_after[idx + 1] if idx + 1 < len(cut_after) else cut_after[0] + k
+        b = cut_after[idx + 1] if idx + 1 < len(cut_after) else cut_after[0] + m
         s = a + 1
         e = b + 1
-        walks.append(base[s:e] if e <= k else base[s:] + base[: e - k])
+        walks.append(base[s:e] if e <= m else base[s:] + base[: e - m])
     total = sum(len(w) for w in walks)
     return SafeWalkReport(walks=tuple(walks), unique_circuit=False, total_edge_length=total)
 

@@ -14,7 +14,6 @@ from eulersafe import (
     swap_at_node,
     verify_circuit,
 )
-from eulersafe.oracles import enumerate_eulerian_circuits
 
 
 class TestFindEulerianCircuit:
@@ -50,28 +49,6 @@ class TestFindEulerianCircuit:
             stats = {}
             find_eulerian_circuit(g, stats=stats)
             assert stats["stack_pushes"] == g.num_edges + 1
-
-    def test_rng_variants_are_valid_and_anchored(self, bidirected_triangle):
-        g = bidirected_triangle
-        seen = set()
-        for seed in range(20):
-            c = find_eulerian_circuit(g, rng=random.Random(seed))
-            assert verify_circuit(g, c)
-            assert c.edges[0] == 0
-            seen.add(c.edges)
-        # Three rotation classes exist; the shuffle should find more than one.
-        assert len(seen) > 1
-
-    def test_rng_never_leaves_rotation_classes(self, corpus_4):
-        rng = random.Random(13)
-        for g in corpus_4[::17]:
-            classes = {
-                c.edges for c in enumerate_eulerian_circuits(g).circuits
-            }
-            c = find_eulerian_circuit(g, rng=rng)
-            assert canonical_rotation(c.edges) in {
-                canonical_rotation(e) for e in classes
-            }
 
 
 class TestVerifyCircuit:

@@ -338,6 +338,14 @@ class TestCount:
         )
         assert capsys.readouterr().out.strip() == ">= 2"
 
+    @pytest.mark.parametrize("cap", ["-1", "-2"])
+    def test_negative_cap_refused(self, graph_file, capsys, cap):
+        argv = ["count", graph_file(BIDIRECTED), "--method", "enumerate", "--cap", cap]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: circuit cap must be at least 0, got {cap}\n"
+
     def test_multigraph_counted_after_normalization(self, graph_file, capsys):
         assert cli.main(["count", graph_file(MULTI)]) == 0
         count = int(capsys.readouterr().out)

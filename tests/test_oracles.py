@@ -97,6 +97,52 @@ class TestEnumeration:
         assert elapsed < 1.0
 
 
+# (graph, cap, enumeration (count, overflow), count_eulerian_circuits,
+# brute-force walk count or None for EnumerationOverflow). Each cap stops
+# the search at circuit cap + 1, so cap 0 overflows even on a unique
+# circuit.
+CAP_TABLE = [
+    ("triangle", None, (1, False), (1, False), 1),
+    ("triangle", 0, (0, True), (0, True), None),
+    ("triangle", 1, (1, False), (1, False), 1),
+    ("triangle", 2, (1, False), (1, False), 1),
+    ("triangle", 3, (1, False), (1, False), 1),
+    ("bidirected_triangle", None, (3, False), (3, False), 6),
+    ("bidirected_triangle", 0, (0, True), (0, True), None),
+    ("bidirected_triangle", 1, (1, True), (1, True), None),
+    ("bidirected_triangle", 2, (2, True), (2, True), None),
+    ("bidirected_triangle", 3, (3, False), (3, False), 6),
+    ("three_triangles", None, (2, False), (2, False), 3),
+    ("three_triangles", 0, (0, True), (0, True), None),
+    ("three_triangles", 1, (1, True), (1, True), None),
+    ("three_triangles", 2, (2, False), (2, False), 3),
+    ("three_triangles", 3, (2, False), (2, False), 3),
+]
+
+
+class TestCaps:
+    @pytest.mark.parametrize("name, cap, enumerated, counted, walks", CAP_TABLE)
+    def test_cap_table(self, request, name, cap, enumerated, counted, walks):
+        g = request.getfixturevalue(name)
+        result = enumerate_eulerian_circuits(g, cap=cap)
+        assert (result.count, result.overflow) == enumerated
+        assert count_eulerian_circuits(g, cap=cap) == counted
+        if walks is None:
+            with pytest.raises(EnumerationOverflow):
+                brute_force_safe_walks(g, cap=cap)
+        else:
+            assert len(brute_force_safe_walks(g, cap=cap).walks) == walks
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [enumerate_eulerian_circuits, count_eulerian_circuits, brute_force_safe_walks],
+    )
+    @pytest.mark.parametrize("cap", [-1, -2])
+    def test_negative_cap_refused(self, bidirected_triangle, oracle, cap):
+        with pytest.raises(ContractError, match="cap must be at least 0"):
+            oracle(bidirected_triangle, cap=cap)
+
+
 def naive_determinant(a):
     n = len(a)
     if n == 0:
