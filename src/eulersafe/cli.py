@@ -10,24 +10,63 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
-from .graph import Graph, GraphError, ParseError, is_eulerian, parse_edge_list
+from .graph import Graph, GraphError, ParseError, _edge_tokens, is_eulerian
 
 if TYPE_CHECKING:
     from .safety import SafeWalkReport
 
 
 def _load_graph(path: str) -> Graph:
+    """Parse the edge list at ``path`` as it is read, one line at a time.
+
+    Errors are those of decoding the whole file first: a byte that is not
+    UTF-8 anywhere in the file is reported even after a malformed line, as
+    the first such byte with its offset from the start of the file. Lines
+    end at "\n", "\r\n" or "\r" (universal newlines), so they are numbered
+    as in the decoded text.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            try:
+                return Graph(_edge_tokens(handle))
+            except ParseError:
+                # A bad byte later in the file still wins.
+                while handle.read(1 << 16):
+                    pass
+                raise
         except UnicodeDecodeError as exc:
-            raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {exc.start}") from None
-    return parse_edge_list(text)
+            error = exc
+    raise _not_utf8(path, error)
+
+
+def _not_utf8(path: str, error: UnicodeDecodeError) -> ParseError:
+    """The parse error for the first byte of ``path`` that is not UTF-8.
+
+    An error raised while a text file is iterated counts its offset from
+    the decoder's current chunk, so the file is decoded again in binary
+    blocks, counting from its start.
+    """
+    from codecs import getincrementaldecoder
+
+    decode = getincrementaldecoder("utf-8")().decode
+    read = 0
+    with open(path, "rb") as handle:
+        while True:
+            block = handle.read(1 << 16)
+            read += len(block)
+            try:
+                decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # exc.object is what earlier blocks left undecoded, then
+                # this block.
+                at = read - len(exc.object) + exc.start
+                return ParseError(f"input is not valid UTF-8: {exc.reason} at byte {at}")
+            if not block:  # the file changed since it was first read
+                return ParseError(f"input is not valid UTF-8: {error.reason}")
 
 
 def cmd_check(args) -> int:
@@ -52,56 +91,82 @@ def cmd_unique(args) -> int:
 
 
 def cmd_safe(args) -> int:
-    from .safety import maximal_safe_walks
+    from .safety import _safe_walks
 
     g = _load_graph(args.path)
-    report = maximal_safe_walks(g)
+    count, unique, walks = _safe_walks(g)
     write = sys.stdout.write
+    # The walks partition the edges, so their total length is |E|.
     if args.format == "structured":
         import json
 
         header = {
             "record": "header",
             "edges": g.num_edges,
-            "walks": len(report.walks),
-            "total_length": report.total_edge_length,
-            "unique": report.unique_circuit,
+            "walks": count,
+            "total_length": g.num_edges,
+            "unique": unique,
         }
         write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        lines = _structured_walk_lines(g, report)
+        _write_structured_walks(write, g, walks)
     else:
         write(
             f"edges: {g.num_edges}\n"
-            f"maximal safe walks: {len(report.walks)}\n"
-            f"total length: {report.total_edge_length}\n"
-            f"unique circuit: {'yes' if report.unique_circuit else 'no'}\n"
+            f"maximal safe walks: {count}\n"
+            f"total length: {g.num_edges}\n"
+            f"unique circuit: {'yes' if unique else 'no'}\n"
         )
-        lines = _text_walk_lines(g, report)
-    # Walk lines go out joined, 1024 per write. A write per line costs a
-    # system call each when stdout is unbuffered; one write of everything
-    # would hold every line, and then their join, in memory. The header has
-    # its own write, so that a lone walk (a unique circuit) is written
-    # without a joined copy.
-    for _ in range(0, len(report.walks), 1024):
-        write("".join(islice(lines, 1024)))
+        _write_text_walks(write, g, walks)
     return 0
 
 
-def _text_walk_lines(g: Graph, report: SafeWalkReport) -> Iterator[str]:
+def _flush(write, batch: list[str]) -> None:
+    """Write the batched walk lines, if any, as one string.
+
+    Walk lines go out joined, 1024 per write. A write per line costs a
+    system call each when stdout is unbuffered; one write of everything
+    would hold every line, and then their join, in memory. The header has
+    its own write, and a walk longer than ``WALK_CHUNK`` edges goes out
+    alone, ``WALK_CHUNK`` edges per write, so that no write holds all of it.
+    """
+    if batch:
+        write("".join(batch))
+        batch.clear()
+
+
+def _write_text_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> None:
+    from .safety import WALK_CHUNK
+
     labels = g.labels
     tails = g.tails
     heads = g.heads
-    for index, walk in enumerate(report.walks):
-        nodes = " -> ".join([labels[heads[e]] for e in walk])
-        ids = " ".join(map(str, walk))
-        yield (
-            f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
-            f"[edges {ids}]\n"
-        )
+    batch: list[str] = []
+    for index, walk in enumerate(walks):
+        if len(walk) <= WALK_CHUNK:
+            nodes = " -> ".join([labels[heads[e]] for e in walk])
+            ids = " ".join(map(str, walk))
+            batch.append(
+                f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
+                f"[edges {ids}]\n"
+            )
+            if len(batch) == 1024:
+                _flush(write, batch)
+            continue
+        _flush(write, batch)
+        write(f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]}")
+        for i in range(0, len(walk), WALK_CHUNK):
+            write(" -> " + " -> ".join([labels[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
+        write(" [edges")
+        for i in range(0, len(walk), WALK_CHUNK):
+            write(" " + " ".join(map(str, walk[i : i + WALK_CHUNK])))
+        write("]\n")
+    _flush(write, batch)
 
 
-def _structured_walk_lines(g: Graph, report: SafeWalkReport) -> Iterator[str]:
+def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> None:
     from json.encoder import encode_basestring_ascii
+
+    from .safety import WALK_CHUNK
 
     # json.dumps escapes strings with this same function under its default
     # ensure_ascii=True, so each label is encoded once and every record
@@ -110,13 +175,28 @@ def _structured_walk_lines(g: Graph, report: SafeWalkReport) -> Iterator[str]:
     quoted = [encode_basestring_ascii(label) for label in g.labels]
     tails = g.tails
     heads = g.heads
-    for index, walk in enumerate(report.walks):
-        edges = ",".join(map(str, walk))
-        nodes = ",".join([quoted[heads[e]] for e in walk])
-        yield (
-            f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
-            f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
-        )
+    batch: list[str] = []
+    for index, walk in enumerate(walks):
+        if len(walk) <= WALK_CHUNK:
+            edges = ",".join(map(str, walk))
+            nodes = ",".join([quoted[heads[e]] for e in walk])
+            batch.append(
+                f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
+                f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
+            )
+            if len(batch) == 1024:
+                _flush(write, batch)
+            continue
+        _flush(write, batch)
+        separator = '{"edges":['
+        for i in range(0, len(walk), WALK_CHUNK):
+            write(separator + ",".join(map(str, walk[i : i + WALK_CHUNK])))
+            separator = ","
+        write(f'],"index":{index},"length":{len(walk)},"nodes":[{quoted[tails[walk[0]]]}')
+        for i in range(0, len(walk), WALK_CHUNK):
+            write("," + ",".join([quoted[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
+        write('],"record":"walk"}\n')
+    _flush(write, batch)
 
 
 def cmd_count(args) -> int:

@@ -173,16 +173,18 @@ def parse_edge_list(text: str) -> Graph:
     an empty edge set. Lines are tokenized one at a time, straight into
     the graph's edge arrays.
     """
-    return Graph(_edge_tokens(text))
-
-
-def _edge_tokens(text: str) -> Iterator[list[str]]:
-    """Yield the ``[tail, head]`` token pair of every edge line of ``text``."""
     # Lines end at "\n" only: str.splitlines() also breaks at form feeds,
     # U+0085, U+2028 and other separators, which would misnumber every
-    # later line. split() below treats those characters as whitespace.
+    # later line. split() in _edge_tokens treats those characters as
+    # whitespace.
+    return Graph(_edge_tokens(text.split("\n")))
+
+
+def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Yield the ``[tail, head]`` token pair of every edge line; the k-th
+    item of ``lines`` is line k. A line may keep its line ending."""
     empty = True
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -216,17 +218,23 @@ class Analysis(NamedTuple):
     id: discovery time ``disc``; ``fin``, one past the last discovery time
     in the node's subtree, so the subtree is the nodes whose ``disc`` lies
     in ``[disc[v], fin[v])``; DFS-tree ``parent`` (-1 for the root);
-    ``opens[w]``, whether the tree edge into ``w`` starts a new biconnected
-    block; and ``cut``, whether the node is a cut node. When the check
-    fails they are empty.
+    ``opens[w]``, 1 if the tree edge into ``w`` starts a new biconnected
+    block, else 0; and ``cut[v]``, 1 if the node is a cut node, else 0.
+    ``fin`` and ``parent`` are ``array("i")`` and the two flag tables
+    ``bytearray``, so that no object is held per node; ``disc`` stays a
+    list, which the DFS reads fastest. When the check fails they are empty.
     """
 
     check: EulerCheck
     disc: list[int]
-    fin: list[int]
-    parent: list[int]
-    opens: list[bool]
-    cut: list[bool]
+    fin: array
+    parent: array
+    opens: bytearray
+    cut: bytearray
+
+
+def _failed(check: EulerCheck) -> Analysis:
+    return Analysis(check, [], array("i"), array("i"), bytearray(), bytearray())
 
 
 def _analyse(g: Graph) -> Analysis:
@@ -247,14 +255,14 @@ def _analyse(g: Graph) -> Analysis:
     for v, (start, mid, stop) in enumerate(zip(off, g.out_end, off[1:])):
         if mid - start != stop - mid:
             detail = f"node '{labels[v]}' has out-degree {mid - start} and in-degree {stop - mid}"
-            return Analysis(EulerCheck(False, "unbalanced", labels[v], detail), [], [], [], [], [])
+            return _failed(EulerCheck(False, "unbalanced", labels[v], detail))
     nbr = g.nbr
     eid = g.eid
     disc = [-1] * n
-    fin = [0] * n
-    parent = [-1] * n
-    opens = [False] * n
-    cut = [False] * n
+    fin = array("i", bytes(4 * n))
+    parent = array("i", [-1]) * n
+    opens = bytearray(n)
+    cut = bytearray(n)
     # Every ancestor of the running node waits on the stack as (node, next
     # entry to scan, lowlink so far, edge used to enter it). The running
     # node's state lives in locals, so back edges never touch the stack.
@@ -278,7 +286,7 @@ def _analyse(g: Graph) -> Analysis:
             child_low = lv
             p, i, lv, entered = stack.pop()
             if child_low >= disc[p]:
-                opens[v] = cut[p] = True
+                opens[v] = cut[p] = 1
             elif child_low < lv:
                 lv = child_low
             v, end = p, off[p + 1]
@@ -292,7 +300,7 @@ def _analyse(g: Graph) -> Analysis:
     if timer != n:
         witness = labels[disc.index(-1)]
         detail = f"node '{witness}' is not reachable from '{labels[0]}' ignoring directions"
-        return Analysis(EulerCheck(False, "not-weakly-connected", witness, detail), [], [], [], [], [])
+        return _failed(EulerCheck(False, "not-weakly-connected", witness, detail))
     cut[0] = parent.count(0) > 1
     return Analysis(EulerCheck(True), disc, fin, parent, opens, cut)
 

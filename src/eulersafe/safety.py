@@ -14,7 +14,10 @@ node.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from array import array
+from itertools import compress, count
+from operator import not_
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import Analysis, ContractError, Graph, require_eulerian
 
@@ -72,10 +75,11 @@ def _node_class_arrays(g: Graph, a: Analysis) -> tuple[list[int], list[bool]]:
     off = g.off
     nbr = g.nbr
     degrees = [end - start for start, end in zip(off, g.out_end)]
+    cut = a.cut
     # At a degree-2 node the out part is off[v], off[v] + 1; a loop there
     # has the node itself as the other end.
     in_a = [
-        d == 1 or (d == 2 and (a.cut[v] or nbr[off[v]] == v or nbr[off[v] + 1] == v))
+        d == 1 or (d == 2 and (cut[v] == 1 or nbr[off[v]] == v or nbr[off[v] + 1] == v))
         for v, d in enumerate(degrees)
     ]
     return degrees, in_a
@@ -86,7 +90,7 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     a = require_eulerian(g)
     degrees, in_a = _node_class_arrays(g, a)
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v], in_a=in_a[v])
+        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=in_a[v])
         for v, label in enumerate(g.labels)
     }
 
@@ -119,11 +123,11 @@ def _split(g: Graph, a: Analysis, v: int) -> tuple[int, int, int]:
     return -1, disc[latest], a.fin[latest]
 
 
-def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> list[int]:
+def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> array:
     """``succ[e]``, the out-edge every circuit takes after ``e``, or -1 where
     the head of ``e`` is not forcing: the only out-edge at degree 1, the
     out-edge on the other side at degree 2."""
-    succ = [-1] * g.num_edges
+    succ = array("i", [-1]) * g.num_edges
     off = g.off
     out_end = g.out_end
     nbr = g.nbr
@@ -199,6 +203,59 @@ def has_unique_eulerian_circuit(g: Graph) -> bool:
     return all(_node_class_arrays(g, require_eulerian(g))[1])
 
 
+# A walk of up to this many edges is a list; a longer one is an
+# array("i"), 4 bytes per edge, and `safe` writes it this many edges at a
+# time.
+WALK_CHUNK = 4096
+
+
+def _safe_walks(g: Graph) -> tuple[int, bool, Iterator[Sequence[int]]]:
+    """``(count, unique, walks)``: the number of maximal safe walks, whether
+    the circuit is unique, and the walks themselves, each followed along its
+    chain of forced successors only when the iterator reaches it.
+
+    A walk starts at every edge leaving a non-forcing node, in ascending
+    edge id, and ends at the next non-forcing node. If every node is forcing
+    the one walk is the whole circuit, from edge id 0. A walk is a list up
+    to :data:`WALK_CHUNK` edges and an ``array("i")`` beyond. A chain
+    longer than |E| can only come from a faulty successor table, and raises
+    :class:`ContractError` instead of growing without bound.
+    """
+    a = require_eulerian(g)
+    degrees, in_a = _node_class_arrays(g, a)
+    succ = _forced_successors(g, a, in_a)
+    # One walk per start: per out-edge of every non-forcing node.
+    number = sum(compress(degrees, map(not_, in_a)))
+    if not number:
+        return 1, True, _follow(succ, (0,), g.num_edges)
+    starts = compress(count(), map(not_, map(in_a.__getitem__, g.tails)))
+    return number, False, _follow(succ, starts, g.num_edges)
+
+
+def _follow(succ: array, starts: Iterator[int], m: int) -> Iterator[Sequence[int]]:
+    chunk = WALK_CHUNK
+    for first in starts:
+        walk = [first]
+        e = succ[first]
+        long = None
+        while e >= 0 and e != first:
+            walk.append(e)
+            e = succ[e]
+            if len(walk) > chunk:
+                if long is None:
+                    long = array("i")
+                long.extend(walk)
+                if len(long) > m:
+                    raise ContractError(
+                        f"forced-successor chain from edge {first} is longer than |E| = {m}"
+                    )
+                walk = []
+        if long is not None:
+            long.extend(walk)
+            walk = long
+        yield walk
+
+
 def maximal_safe_walks(
     g: Graph, norm_map: Optional[NormalizationMap] = None
 ) -> SafeWalkReport:
@@ -213,19 +270,8 @@ def maximal_safe_walks(
     graph back to the original edge ids; it remains for ``bench/`` until
     ROADMAP item 1.
     """
-    a = require_eulerian(g)
-    _, in_a = _node_class_arrays(g, a)
-    succ = _forced_successors(g, a, in_a)
-    starts = [e for e, t in enumerate(g.tails) if not in_a[t]]
-    unique = not starts
-    walks = []
-    for first in starts or [0]:
-        walk = [first]
-        e = succ[first]
-        while e >= 0 and e != first:
-            walk.append(e)
-            e = succ[e]
-        walks.append(tuple(walk))
+    _, unique, chains = _safe_walks(g)
+    walks = [tuple(walk) for walk in chains]
     if norm_map is not None and not norm_map.is_identity:
         walks = [norm_map.project(w, circular=unique) for w in walks]
     total = sum(len(w) for w in walks)

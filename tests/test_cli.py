@@ -13,11 +13,18 @@ from pathlib import Path
 import pytest
 
 import eulersafe
-from eulersafe import cli, parse_edge_list, is_eulerian, maximal_safe_walks, walk_nodes
+from eulersafe import (
+    ParseError,
+    cli,
+    parse_edge_list,
+    is_eulerian,
+    maximal_safe_walks,
+    walk_nodes,
+)
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
 from eulersafe.oracles import pevzner_intersection_graph
-from eulersafe.safety import SafeWalkReport
-from test_safety import raw_multigraphs
+from eulersafe.safety import WALK_CHUNK, SafeWalkReport
+from test_safety import cycling_successors, raw_multigraphs, ring
 
 TRIANGLE = "a b\nb c\nc a\n"
 FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
@@ -281,6 +288,30 @@ class TestSafeBatches:
         assert len(stdout.writes) <= -(-walks // 1024) + 1
         walk_marker = "(length " if fmt == "text" else '"record":"walk"'
         assert max(w.count(walk_marker) for w in stdout.writes) <= 1024
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("length", [WALK_CHUNK, WALK_CHUNK + 1, 3 * WALK_CHUNK + 5])
+    def test_long_walk_is_written_in_pieces(self, graph_file, monkeypatch, fmt, length):
+        # A ring of `length` edges through the hub, between 600 two-edge
+        # cycles on either side: one long walk amid short ones.
+        text = (
+            hub_graph(600)
+            + "".join(f"{t} {h}\n" for t, h in ring(length))
+            + "".join(f"h b{i}\nb{i} h\n" for i in range(600))
+        )
+        g = parse_edge_list(text)
+        expected = reference_safe_output(g, fmt)
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(["safe", graph_file(text), "--format", fmt]) == 0
+        assert "".join(stdout.writes) == expected
+        (line,) = [x for x in expected.splitlines(keepends=True) if x.count("ring") == length - 1]
+        holding = [w for w in stdout.writes if line in w]
+        if length <= WALK_CHUNK:
+            assert len(holding) == 1
+        else:
+            assert not holding
+            assert max(w.count("ring") for w in stdout.writes) <= WALK_CHUNK
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_same_bytes_unbuffered(self, graph_file, fmt):
@@ -558,6 +589,13 @@ class TestLargeAndMalformedInput:
         result = run_cli("count", graph_file(text), "--method", "enumerate")
         assert (result.returncode, result.stdout) == (0, "1\n")
 
+    def test_runaway_chain_is_one_line(self, graph_file, capsys, monkeypatch):
+        monkeypatch.setattr("eulersafe.safety._forced_successors", cycling_successors)
+        assert cli.main(["safe", graph_file(FIGURE_EIGHT)]) == 2
+        assert capsys.readouterr().err == (
+            "error: forced-successor chain from edge 0 is longer than |E| = 6\n"
+        )
+
     def test_not_utf8_is_a_parse_error(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_bytes(b"\xff\xfe a b\n")
@@ -587,6 +625,98 @@ class TestLargeAndMalformedInput:
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: oracle comparison refused")
         assert result.stderr.count("\n") == 1
+
+
+def whole_file_error(path) -> str:
+    """The stderr line for an input that fails to load, as it was when the
+    whole file was decoded before any line was parsed."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        return f"parse error: input is not valid UTF-8: {exc.reason} at byte {exc.start}\n"
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(text)
+    return f"parse error: {info.value}\n"
+
+
+# About 120 kB: more than the text decoder's 8 KiB chunks and the 64 KiB
+# blocks in which a decoding error is located again.
+RING_BYTES = "".join(f"n{i} n{(i + 1) % 10_000}\n" for i in range(10_000)).encode()
+
+
+class TestStreamedInput:
+    """The CLI parses its input as it reads it, a line at a time, and fails
+    as it did when it decoded the whole file first."""
+
+    @staticmethod
+    def stderr_of(tmp_path, data: bytes, capsys) -> str:
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == whole_file_error(path)
+        return captured.err
+
+    def test_offset_past_the_first_chunk(self, tmp_path, capsys):
+        data = RING_BYTES[:33_783] + b"\xff" + RING_BYTES[33_783:]
+        assert self.stderr_of(tmp_path, data, capsys) == (
+            "parse error: input is not valid UTF-8: invalid start byte at byte 33783\n"
+        )
+
+    @pytest.mark.parametrize(
+        "offset, bad",
+        [
+            (8_191, b"\xe2\x82"),  # truncated, across the decoder's first chunk
+            (65_535, b"\xe2\x82\xac\xff"),  # a valid sign across a block, then 0xff
+            (65_534, b"\xf0\x9f\x98"),  # truncated, across a block
+            (65_536, b"\x80"),  # a lone continuation byte at a block start
+            (100_000, b"\xed\xa0\x80"),  # an encoded surrogate
+            (len(RING_BYTES), b"\xe2\x82"),  # truncated at the end of the file
+        ],
+    )
+    def test_offset_counts_from_the_file_start(self, tmp_path, capsys, offset, bad):
+        err = self.stderr_of(tmp_path, RING_BYTES[:offset] + bad + RING_BYTES[offset:], capsys)
+        assert err.startswith("parse error: input is not valid UTF-8: ")
+
+    @pytest.mark.parametrize(
+        "newline", ["\n", "\r", "\r\n", "\u2028", "\x0c", "\x85", "\x1c"],
+        ids=["LF", "CR", "CRLF", "U+2028", "FF", "NEL", "FS"],
+    )
+    def test_lines_are_numbered_as_before(self, tmp_path, capsys, newline):
+        # The malformed line lies past the decoder's first chunks.
+        lines = [f"n{i} n{(i + 1) % 3000}" for i in range(3000)]
+        lines[2500] = "bad"
+        data = (newline.join(lines) + "\n").encode()
+        err = self.stderr_of(tmp_path, data, capsys)
+        if newline in ("\n", "\r", "\r\n"):
+            assert err.startswith("parse error: line 2501: ")
+        else:
+            assert err.startswith("parse error: line 1: ")
+
+    def test_crlf_across_the_decoder_chunk(self, tmp_path, capsys):
+        # "\r" is byte 8191 and "\n" byte 8192: still one line ending.
+        data = b"#" * 8_191 + b"\r\na b\r\nb a\r\nbad\r\n"
+        assert self.stderr_of(tmp_path, data, capsys) == (
+            "parse error: line 4: expected 'tail head', got 1 token(s)\n"
+        )
+
+    def test_bad_byte_wins_over_an_earlier_malformed_line(self, tmp_path, capsys):
+        data = b"bad\n" + RING_BYTES + b"\xff\n"
+        assert self.stderr_of(tmp_path, data, capsys) == (
+            "parse error: input is not valid UTF-8: invalid start byte "
+            f"at byte {4 + len(RING_BYTES)}\n"
+        )
+
+    def test_bad_byte_wins_over_no_edges(self, tmp_path, capsys):
+        err = self.stderr_of(tmp_path, b"# no edges\n" * 10_000 + b"\xff", capsys)
+        assert err.startswith("parse error: input is not valid UTF-8: invalid start byte")
+
+    def test_malformed_line_without_bad_bytes(self, tmp_path, capsys):
+        assert self.stderr_of(tmp_path, RING_BYTES + b"bad\n", capsys) == (
+            "parse error: line 10001: expected 'tail head', got 1 token(s)\n"
+        )
 
 
 class TestGen:

@@ -1,5 +1,6 @@
 """Parsing, the multigraph model, normalization, and the analysis pass."""
 import random
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -21,7 +22,7 @@ from eulersafe import (
     parse_edge_list,
     walk_nodes,
 )
-from eulersafe import graph
+from eulersafe import cli, graph
 from eulersafe.circuit import find_eulerian_circuit
 from eulersafe.oracles import _rewritten_edges
 from test_cli import cactus_edges
@@ -84,6 +85,46 @@ def test_parse_peaks_under_twice_the_graph():
         tracemalloc.stop()
     assert g.num_nodes == 100_000
     assert peak <= 2 * held
+
+
+class Discard:
+    """Stands in for ``sys.stdout`` and keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_safe_peaks_near_the_graph(tmp_path, monkeypatch, fmt):
+    # `safe` parses its input as it reads it and writes each walk as it
+    # follows it, so it holds neither the text, nor its lines, nor all the
+    # walks. Its peak is that of filling the CSR, about 1.58 times what the
+    # graph holds. Keeping the text and the walks took it past 2; holding
+    # every walk while writing structured output takes it to 1.69.
+    path = tmp_path / "cactus.txt"
+    path.write_text("".join(f"{t} {h}\n" for t, h in cactus_edges(100_000, seed=11)))
+    load = cli._load_graph
+    held = []
+
+    def loaded(p):
+        g = load(p)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return g
+
+    monkeypatch.setattr(cli, "_load_graph", loaded)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["safe", str(path), "--format", fmt]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    graph_size = held[0] - before
+    assert peak - before <= 1.65 * graph_size, (peak - before) / graph_size
 
 
 class TestGraphModel:

@@ -1,5 +1,6 @@
 """Node classification, safe pairs, uniqueness, and maximal safe walks."""
 import random
+from array import array
 
 import pytest
 
@@ -17,7 +18,9 @@ from eulersafe import (
     maximal_safe_walks,
     normalize,
 )
+from eulersafe import safety
 from eulersafe.oracles import brute_force_safe_walks, enumerate_eulerian_circuits
+from eulersafe.safety import WALK_CHUNK
 
 
 def walk_multiset(report):
@@ -53,6 +56,13 @@ class TestClassifyNodes:
         assert (a.degree, a.is_cut, a.in_a) == (2, False, True)
         assert classify_nodes(Graph([("a", "a")] * 2))["a"].in_a
         assert not classify_nodes(Graph([("a", "a")] * 3))["a"].in_a
+
+    def test_flags_are_bools(self, figure_eight, three_triangles, bidirected_triangle):
+        # The analysis keeps its flags in bytearrays; the records hold bools.
+        loop = Graph([("a", "a"), ("a", "b"), ("b", "a")])
+        for g in (figure_eight, three_triangles, bidirected_triangle, loop):
+            for c in classify_nodes(g).values():
+                assert type(c.is_cut) is bool and type(c.in_a) is bool, c
 
     def test_rejects_unbalanced(self):
         with pytest.raises(ContractError, match="not Eulerian"):
@@ -275,6 +285,47 @@ class TestMaximalSafeWalks:
         assert len(report.walks) == 1
         assert sorted(report.walks[0]) == [0, 1, 2]
         assert report.total_edge_length == 3
+
+
+def ring(length: int, through: str = "h") -> list[tuple[str, str]]:
+    """A directed cycle of ``length`` edges from ``through`` back to it."""
+    nodes = [through] + [f"ring{i}" for i in range(1, length)]
+    return [(nodes[i], nodes[(i + 1) % length]) for i in range(length)]
+
+
+@pytest.mark.parametrize(
+    "length", [WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, 2 * WALK_CHUNK + 1, 3 * WALK_CHUNK]
+)
+class TestLongWalks:
+    """A walk past WALK_CHUNK edges is kept in an array from there on; it
+    must come out whole and in order at every chunk boundary."""
+
+    def test_unique_ring(self, length):
+        report = maximal_safe_walks(Graph(ring(length)))
+        assert report.unique_circuit
+        assert report.walks == (tuple(range(length)),)
+
+    def test_ring_through_a_hub(self, length):
+        # h gets degree 3, so the ring is one walk between two short ones.
+        g = Graph([("h", "a"), ("a", "h")] + ring(length) + [("h", "b"), ("b", "h")])
+        report = maximal_safe_walks(g)
+        assert not report.unique_circuit
+        assert report.walks == ((0, 1), tuple(range(2, length + 2)), (length + 2, length + 3))
+        assert report.total_edge_length == g.num_edges
+
+
+def cycling_successors(g, a, in_a):
+    """A faulty successor table: 1 -> 2 -> 1, a cycle that edge 0 enters
+    and never leaves."""
+    succ = array("i", [-1]) * g.num_edges
+    succ[0], succ[1], succ[2] = 1, 2, 1
+    return succ
+
+
+def test_runaway_chain_is_a_contract_error(monkeypatch, figure_eight):
+    monkeypatch.setattr(safety, "_forced_successors", cycling_successors)
+    with pytest.raises(ContractError, match="chain from edge 0 is longer than [|]E[|] = 6"):
+        maximal_safe_walks(figure_eight)
 
 
 def raw_multigraphs(count: int, seed: int):
