@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from codecs import getincrementaldecoder
+from io import IncrementalNewlineDecoder
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
@@ -20,53 +23,50 @@ if TYPE_CHECKING:
     from .safety import SafeWalkReport
 
 
+BLOCK_SIZE = 1 << 13  # bytes read from the input at a time
+
+
 def _load_graph(path: str) -> Graph:
     """Parse the edge list at ``path`` as it is read, one line at a time.
-
     Errors are those of decoding the whole file first: a byte that is not
-    UTF-8 anywhere in the file is reported even after a malformed line, as
-    the first such byte with its offset from the start of the file. Lines
-    end at "\n", "\r\n" or "\r" (universal newlines), so they are numbered
-    as in the decoded text.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            try:
-                return Graph(_edge_tokens(handle))
-            except ParseError:
-                # A bad byte later in the file still wins.
-                while handle.read(1 << 16):
-                    pass
-                raise
-        except UnicodeDecodeError as exc:
-            error = exc
-    raise _not_utf8(path, error)
-
-
-def _not_utf8(path: str, error: UnicodeDecodeError) -> ParseError:
-    """The parse error for the first byte of ``path`` that is not UTF-8.
-
-    An error raised while a text file is iterated counts its offset from
-    the decoder's current chunk, so the file is decoded again in binary
-    blocks, counting from its start.
-    """
-    from codecs import getincrementaldecoder
-
-    decode = getincrementaldecoder("utf-8")().decode
-    read = 0
+    UTF-8 anywhere in it wins over a malformed line."""
     with open(path, "rb") as handle:
-        while True:
-            block = handle.read(1 << 16)
-            read += len(block)
-            try:
-                decode(block, final=not block)
-            except UnicodeDecodeError as exc:
-                # exc.object is what earlier blocks left undecoded, then
-                # this block.
-                at = read - len(exc.object) + exc.start
-                return ParseError(f"input is not valid UTF-8: {exc.reason} at byte {at}")
-            if not block:  # the file changed since it was first read
-                return ParseError(f"input is not valid UTF-8: {error.reason}")
+        lines = chain.from_iterable(_lines(handle))
+        try:
+            return Graph(_edge_tokens(lines))
+        except ParseError:
+            for _ in lines:  # a bad byte later in the file still wins
+                pass
+            raise
+
+
+def _lines(handle) -> Iterator[list[str]]:
+    """The lines of the binary file ``handle`` without their endings: one
+    list per block of ``BLOCK_SIZE`` bytes, read once and decoded as UTF-8,
+    so that no generator resumes per line. Lines end where
+    :func:`~eulersafe.graph.parse_edge_list` ends them."""
+    decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), translate=True).decode
+    read = 0
+    partial: list[str] = []  # the open line's pieces, joined once: a join per block is quadratic
+    while True:
+        block = handle.read(BLOCK_SIZE)
+        read += len(block)
+        try:
+            text = decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            # exc.object is what earlier blocks left undecoded, then this block.
+            at = read - len(exc.object) + exc.start
+            raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {at}") from None
+        *ended, last = text.split("\n")
+        if ended:
+            partial.append(ended[0])
+            ended[0] = "".join(partial)
+            partial.clear()
+            yield ended
+        partial.append(last)
+        if not block:
+            yield ["".join(partial)]
+            return
 
 
 def cmd_check(args) -> int:

@@ -6,19 +6,21 @@ from typing import Optional, Union
 
 from .graph import GraphError
 
+# Draws of the whole cycle set before random_eulerian_edges gives up.
+MAX_ATTEMPTS = 1000
+
 
 def random_eulerian_edges(
     num_nodes: int,
     num_cycles: int,
     seed: Union[int, random.Random, None] = None,
-    max_attempts: int = 1000,
 ) -> list[tuple[str, str]]:
     """Superpose random simple directed cycles over ``num_nodes`` nodes.
 
     Each cycle is a uniformly drawn subset of size >= 2, permuted
     cyclically, so the union is balanced at every node and Eulerian once
     weakly connected; draws are repeated until the used nodes form one weak
-    component (at most ``max_attempts`` times). Deterministic for a fixed
+    component (at most ``MAX_ATTEMPTS`` times). Deterministic for a fixed
     seed. Nodes are labeled v0..v{n-1}; only nodes on some cycle appear.
     """
     if num_nodes < 2:
@@ -26,7 +28,7 @@ def random_eulerian_edges(
     if num_cycles < 1:
         raise GraphError("need at least one cycle")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         edges: list[tuple[int, int]] = []
         for _ in range(num_cycles):
             k = rng.randint(2, num_nodes)
@@ -35,9 +37,7 @@ def random_eulerian_edges(
                 edges.append((nodes[i], nodes[(i + 1) % k]))
         if _weakly_connected(edges):
             return [(f"v{t}", f"v{h}") for t, h in edges]
-    raise GraphError(
-        f"could not draw a weakly connected graph in {max_attempts} attempts"
-    )
+    raise GraphError(f"could not draw a weakly connected graph in {MAX_ATTEMPTS} attempts")
 
 
 def _weakly_connected(edges: list[tuple[int, int]]) -> bool:

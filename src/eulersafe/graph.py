@@ -15,6 +15,7 @@ through them every analysis in the package run it once per call.
 from __future__ import annotations
 
 from array import array
+from io import IncrementalNewlineDecoder
 from itertools import accumulate
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -168,21 +169,20 @@ def is_valid_walk(g: Graph, edges: Sequence[int]) -> bool:
 def parse_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list: one "tail head" pair per line.
 
-    Blank lines and lines starting with '#' are skipped. Raises
-    :class:`ParseError` on a malformed line (with its 1-based number) or on
-    an empty edge set. Lines are tokenized one at a time, straight into
-    the graph's edge arrays.
+    Lines end at "\n", "\r\n" or a lone "\r", as in the command line's
+    reader; form feeds, U+0085, U+2028 and other separators are whitespace
+    within a line. Blank lines and lines starting with '#' are skipped.
+    Raises :class:`ParseError` on a malformed line (with its 1-based
+    number) or on an empty edge set. Lines are tokenized one at a time,
+    straight into the graph's edge arrays.
     """
-    # Lines end at "\n" only: str.splitlines() also breaks at form feeds,
-    # U+0085, U+2028 and other separators, which would misnumber every
-    # later line. split() in _edge_tokens treats those characters as
-    # whitespace.
+    text = IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
     return Graph(_edge_tokens(text.split("\n")))
 
 
 def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
     """Yield the ``[tail, head]`` token pair of every edge line; the k-th
-    item of ``lines`` is line k. A line may keep its line ending."""
+    item of ``lines`` is line k, without its ending."""
     empty = True
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()

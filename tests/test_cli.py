@@ -1,11 +1,13 @@
 """End-to-end command-line behavior, including exit codes."""
 import argparse
+import contextlib
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import threading
 from collections import Counter
 from math import factorial
 from pathlib import Path
@@ -640,9 +642,14 @@ def whole_file_error(path) -> str:
     return f"parse error: {info.value}\n"
 
 
-# About 120 kB: more than the text decoder's 8 KiB chunks and the 64 KiB
-# blocks in which a decoding error is located again.
+# About 120 kB: 15 blocks of the CLI's reader.
 RING_BYTES = "".join(f"n{i} n{(i + 1) % 10_000}\n" for i in range(10_000)).encode()
+
+
+NEWLINES = {
+    "LF": "\n", "CR": "\r", "CRLF": "\r\n", "U+2028": "\u2028", "FF": "\x0c", "NEL": "\x85",
+    "FS": "\x1c",
+}
 
 
 class TestStreamedInput:
@@ -668,7 +675,7 @@ class TestStreamedInput:
     @pytest.mark.parametrize(
         "offset, bad",
         [
-            (8_191, b"\xe2\x82"),  # truncated, across the decoder's first chunk
+            (8_191, b"\xe2\x82"),  # truncated, across the end of the first block
             (65_535, b"\xe2\x82\xac\xff"),  # a valid sign across a block, then 0xff
             (65_534, b"\xf0\x9f\x98"),  # truncated, across a block
             (65_536, b"\x80"),  # a lone continuation byte at a block start
@@ -680,12 +687,9 @@ class TestStreamedInput:
         err = self.stderr_of(tmp_path, RING_BYTES[:offset] + bad + RING_BYTES[offset:], capsys)
         assert err.startswith("parse error: input is not valid UTF-8: ")
 
-    @pytest.mark.parametrize(
-        "newline", ["\n", "\r", "\r\n", "\u2028", "\x0c", "\x85", "\x1c"],
-        ids=["LF", "CR", "CRLF", "U+2028", "FF", "NEL", "FS"],
-    )
+    @pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES.keys())
     def test_lines_are_numbered_as_before(self, tmp_path, capsys, newline):
-        # The malformed line lies past the decoder's first chunks.
+        # The malformed line lies past the first block.
         lines = [f"n{i} n{(i + 1) % 3000}" for i in range(3000)]
         lines[2500] = "bad"
         data = (newline.join(lines) + "\n").encode()
@@ -696,8 +700,8 @@ class TestStreamedInput:
             assert err.startswith("parse error: line 1: ")
 
     def test_crlf_across_the_decoder_chunk(self, tmp_path, capsys):
-        # "\r" is byte 8191 and "\n" byte 8192: still one line ending.
-        data = b"#" * 8_191 + b"\r\na b\r\nb a\r\nbad\r\n"
+        # "\r" ends the first block and "\n" starts the next: one line ending.
+        data = b"#" * (cli.BLOCK_SIZE - 1) + b"\r\na b\r\nb a\r\nbad\r\n"
         assert self.stderr_of(tmp_path, data, capsys) == (
             "parse error: line 4: expected 'tail head', got 1 token(s)\n"
         )
@@ -717,6 +721,103 @@ class TestStreamedInput:
         assert self.stderr_of(tmp_path, RING_BYTES + b"bad\n", capsys) == (
             "parse error: line 10001: expected 'tail head', got 1 token(s)\n"
         )
+
+
+class TestStreamedInputSmallBlocks(TestStreamedInput):
+    """The same cases with blocks of a few bytes, so that lines, line
+    endings and multi-byte sequences carry over from block to block."""
+
+    @pytest.fixture(autouse=True, params=[1, 5])
+    def small_blocks(self, request, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_SIZE", request.param)
+
+
+def load_outcome(load, source):
+    """The graph ``load(source)`` gives, or the message of its ParseError."""
+    try:
+        return load(source)
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestOneLineRule:
+    """``parse_edge_list`` and the CLI's reader end lines at the same places."""
+
+    @pytest.mark.parametrize("malformed", [False, True], ids=["valid", "malformed"])
+    @pytest.mark.parametrize("newline", NEWLINES.values(), ids=NEWLINES.keys())
+    def test_entry_points_agree(self, tmp_path, newline, malformed):
+        lines = ["", "a b", "# b c", "  b\tc ", "", "c a"]
+        if malformed:
+            lines.insert(4, "c a b")
+        data = (newline.join(lines) + newline).encode()
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        expected = load_outcome(parse_edge_list, data.decode())
+        assert load_outcome(cli._load_graph, str(path)) == expected
+        if newline in ("\n", "\r", "\r\n"):
+            assert expected == (
+                "line 5: expected 'tail head', got 3 token(s)"
+                if malformed
+                else parse_edge_list("a b\nb c\nc a\n")
+            )
+        else:
+            assert expected.startswith("line 1: ")
+
+    def test_random_inputs_agree(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "BLOCK_SIZE", 7)
+        rng = random.Random(12)
+        pieces = ["a", "b", "é", "#", " ", "\t", *NEWLINES.values()]
+        path = tmp_path / "graph.txt"
+        for _ in range(300):
+            text = "".join(rng.choices(pieces, k=rng.randint(0, 60)))
+            path.write_bytes(text.encode())
+            expected = load_outcome(parse_edge_list, text)
+            assert load_outcome(cli._load_graph, str(path)) == expected, repr(text)
+
+
+def check_child(path: str, **kwargs) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``eulersafe check path`` run in a
+    child limited to 60 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "eulersafe.cli", "check", path],
+        capture_output=True, timeout=60, env=env, **kwargs,
+    )
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+
+class TestUnseekableInput:
+    """A FIFO or a pipe is read once, like a file, and a bad byte in it is
+    reported with its offset from the start of the input."""
+
+    BAD = RING_BYTES[:70_001] + b"\xff" + RING_BYTES[70_001:]
+    BAD_ERROR = "parse error: input is not valid UTF-8: invalid start byte at byte 70001\n"
+
+    def test_named_fifo(self, tmp_path):
+        fifo = tmp_path / "graph.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            # The child closes the FIFO once it meets the bad byte.
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as handle:
+                handle.write(self.BAD)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        outcome = check_child(str(fifo))
+        # Frees a writer still waiting in open() for a child that never came.
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert outcome == (2, "", self.BAD_ERROR)
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [(BAD, (2, "", BAD_ERROR)), (RING_BYTES, (0, "eulerian\n", ""))],
+        ids=["bad-byte", "valid"],
+    )
+    def test_pipe_on_dev_stdin(self, data, expected):
+        assert check_child("/dev/stdin", input=data) == expected
 
 
 class TestGen:
@@ -744,6 +845,13 @@ class TestGen:
     def test_bad_parameters(self, capsys):
         assert cli.main(["gen", "1", "2"]) == 2
         assert "at least 2 nodes" in capsys.readouterr().err
+
+    def test_gives_up_after_max_attempts(self, monkeypatch, capsys):
+        monkeypatch.setattr("eulersafe.generator.MAX_ATTEMPTS", 0)
+        assert cli.main(["gen", "6", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not draw a weakly connected graph in 0 attempts\n"
+        )
 
 
 class TestParser:

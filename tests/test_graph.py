@@ -55,13 +55,15 @@ class TestParseEdgeList:
             parse_edge_list("a")
         with pytest.raises(ParseError, match="line 3"):
             parse_edge_list("a b\n\nx y z")
-        # Line numbers count "\n" only; str.splitlines() would also break
-        # at these characters, which split() reads as whitespace.
+        # Lines end at "\n", "\r\n" or "\r" only; str.splitlines() would also
+        # break at these characters, which split() reads as whitespace.
         for separator in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
             with pytest.raises(ParseError, match="line 3:"):
                 parse_edge_list(f"a b{separator}\nb a\nbad\n")
         with pytest.raises(ParseError, match="line 2:"):
             parse_edge_list("a b\r\nbad\r\n")
+        with pytest.raises(ParseError, match="line 3:"):
+            parse_edge_list("a b\rb a\r\nbad\r")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="at least one edge"):
