@@ -42,10 +42,11 @@ def _load_graph(path: str) -> Graph:
 
 def _lines(handle) -> Iterator[list[str]]:
     """The lines of the binary file ``handle`` without their endings: one
-    list per block of ``BLOCK_SIZE`` bytes, read once and decoded as UTF-8,
-    so that no generator resumes per line. Lines end where
-    :func:`~eulersafe.graph.parse_edge_list` ends them."""
-    decode = IncrementalNewlineDecoder(getincrementaldecoder("utf-8")(), translate=True).decode
+    list per block of ``BLOCK_SIZE`` bytes, read once and decoded as UTF-8
+    after a leading byte-order mark, so that no generator resumes per line.
+    Lines end where :func:`~eulersafe.graph.parse_edge_list` ends them."""
+    decoder = getincrementaldecoder("utf-8-sig")()
+    decode = IncrementalNewlineDecoder(decoder, translate=True).decode
     read = 0
     partial: list[str] = []  # the open line's pieces, joined once: a join per block is quadratic
     while True:
@@ -53,6 +54,8 @@ def _lines(handle) -> Iterator[list[str]]:
         read += len(block)
         try:
             text = decode(block, final=not block)
+            if not block:  # utf-8-sig holds back a cut-off mark even at the end
+                decoder.getstate()[0].decode()
         except UnicodeDecodeError as exc:
             # exc.object is what earlier blocks left undecoded, then this block.
             at = read - len(exc.object) + exc.start
@@ -98,16 +101,10 @@ def cmd_safe(args) -> int:
     write = sys.stdout.write
     # The walks partition the edges, so their total length is |E|.
     if args.format == "structured":
-        import json
-
-        header = {
-            "record": "header",
-            "edges": g.num_edges,
-            "walks": count,
-            "total_length": g.num_edges,
-            "unique": unique,
-        }
-        write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        write(
+            f'{{"edges":{g.num_edges},"record":"header","total_length":{g.num_edges},'
+            f'"unique":{"true" if unique else "false"},"walks":{count}}}\n'
+        )
         _write_structured_walks(write, g, walks)
     else:
         write(
@@ -362,10 +359,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -171,12 +171,15 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines end at "\n", "\r\n" or a lone "\r", as in the command line's
     reader; form feeds, U+0085, U+2028 and other separators are whitespace
-    within a line. Blank lines and lines starting with '#' are skipped.
-    Raises :class:`ParseError` on a malformed line (with its 1-based
-    number) or on an empty edge set. Lines are tokenized one at a time,
-    straight into the graph's edge arrays.
+    within a line. One leading byte-order mark (U+FEFF) is dropped, as the
+    reader drops it; elsewhere U+FEFF is part of a label. Blank lines and
+    lines starting with '#' are skipped. Raises :class:`ParseError` on a
+    malformed line (with its 1-based number) or on an empty edge set.
+    Lines are tokenized one at a time, straight into the graph's edge
+    arrays.
     """
     text = IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
+    text = text.removeprefix("\ufeff")
     return Graph(_edge_tokens(text.split("\n")))
 
 

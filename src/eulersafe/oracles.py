@@ -191,13 +191,14 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
     copy it to keep it, and may stop pulling at any point.
 
     The search backtracks over unused out-edges in CSR order. A step takes
-    an edge only if every unused edge stays weakly connected to the edge's
-    head. In a balanced graph that is exactly the condition for the trail
-    to extend to a circuit, so every branch ends in one: a step costs at
-    most one O(|E|) search per out-edge of its node, and pulling k circuits
-    takes at most k * |E| steps. The search keeps an explicit stack, so
-    circuit length is not limited by the interpreter's recursion limit.
-    Raises :class:`ContractError` if ``g`` is not Eulerian.
+    the last unused out-edge of its node, or another one whose head still
+    reaches its tail over the unused edges (Fleury's rule). In a balanced
+    graph that is exactly the condition for the trail to extend to a
+    circuit, so every branch ends in one: a step costs at most one O(|E|)
+    search per out-edge of its node, and pulling k circuits takes at most
+    k * |E| steps. The search keeps an explicit stack, so circuit length is
+    not limited by the interpreter's recursion limit. Raises
+    :class:`ContractError` if ``g`` is not Eulerian.
     """
     require_eulerian(g)
     m = g.num_edges
@@ -214,12 +215,12 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
     # left[v]: unused out-edges at v.
     left = [end - start for start, end in zip(off, out_end)]
 
-    def extendable(e: int, remaining: int) -> bool:
-        """Once ``e`` is taken too, are the ``remaining`` unused edges all
-        weakly connected to its head? Before ``e`` they were to its tail,
-        so they are if the head still reaches the tail; else exactly when
-        all of them are on the head's side, counted by their ends (two per
-        edge, a self-loop's both at one node)."""
+    def extendable(e: int) -> bool:
+        """Once ``e`` is taken too, does its head still reach its tail over
+        unused edges? It is asked only while the tail keeps another unused
+        out-edge: if the head cannot reach the tail, that edge is cut off
+        from the trail (Fleury's rule); if it can, every unused edge, which
+        reached the tail before, still reaches the head."""
         v = tails[e]
         w = heads[e]
         used[e] = 1
@@ -227,17 +228,15 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
             seen = bytearray(n)
             seen[w] = 1
             stack = [w]
-            ends = 0
             while stack:
                 for f, y in incidences[stack.pop()]:
                     if not used[f]:
                         if y == v:
                             return True
-                        ends += 1
                         if not seen[y]:
                             seen[y] = 1
                             stack.append(y)
-            return ends == 2 * remaining
+            return False
         finally:
             used[e] = 0
 
@@ -254,7 +253,7 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
             e = out[i]
             # While the trail extends to a circuit, a lone unused out-edge
             # is its next step and needs no test.
-            if not used[e] and (left[v] == 1 or extendable(e, m - len(path) - 1)):
+            if not used[e] and (left[v] == 1 or extendable(e)):
                 cursor[-1] = i + 1
                 used[e] = 1
                 left[v] -= 1

@@ -59,9 +59,12 @@ class SafetyEvidence(NamedTuple):
     no self-loop), ``not-in-any-circuit`` (both edges on the same side of
     the middle node) and ``edges-missing``. Side ids are filled in for the
     ``cut-split`` and ``not-in-any-circuit`` cases, where v is a forcing
-    degree-2 node with two sides: side 1 is v's last self-loop in edge-id
-    order if it has one, else the subtree of the analysis DFS (from node 0)
-    below v's latest-discovered child that opens a block; side 0 is the rest.
+    degree-2 node: ``component_u`` is the side of the first edge and
+    ``component_w`` that of the second. Side 1 is one out-edge and one
+    in-edge at v: v's last self-loop in edge-id order, as both, if it has
+    one, else the two edges whose other ends lie in the subtree of the
+    analysis DFS (from node 0) below v's latest-discovered child that opens
+    a block. Side 0 is the other two.
     """
 
     safe: bool
@@ -70,48 +73,51 @@ class SafetyEvidence(NamedTuple):
     component_w: Optional[int] = None
 
 
-def _node_class_arrays(g: Graph, a: Analysis) -> tuple[list[int], list[bool]]:
-    """(degree, forcing flag) per node id, from the analysis pass."""
+def _forcing(g: Graph) -> tuple[Analysis, list[int], list[bool]]:
+    """The analysis pass, then the degree and the forcing flag of every node
+    id. Raises :class:`ContractError` if ``g`` is not Eulerian."""
+    a = require_eulerian(g)
     off = g.off
     nbr = g.nbr
     degrees = [end - start for start, end in zip(off, g.out_end)]
     cut = a.cut
     # At a degree-2 node the out part is off[v], off[v] + 1; a loop there
     # has the node itself as the other end.
-    in_a = [
+    flags = [
         d == 1 or (d == 2 and (cut[v] == 1 or nbr[off[v]] == v or nbr[off[v] + 1] == v))
         for v, d in enumerate(degrees)
     ]
-    return degrees, in_a
+    return a, degrees, flags
 
 
 def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     """Degree, cut-node status and forcing membership for every node."""
-    a = require_eulerian(g)
-    degrees, in_a = _node_class_arrays(g, a)
+    a, degrees, flags = _forcing(g)
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=in_a[v])
+        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=flags[v])
         for v, label in enumerate(g.labels)
     }
 
 
-def _split(g: Graph, a: Analysis, v: int) -> tuple[int, int, int]:
-    """How the forcing degree-2 node ``v`` splits its edge ends into the two
-    sides :class:`SafetyEvidence` numbers, as ``(loop, lo, hi)``.
+def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
+    """Side 1 of the degree-2 node ``v`` as its ``(out-edge, in-edge)``, or
+    None when ``v`` does not force; the other two edges at ``v`` are side 0.
 
-    An edge end ``e`` at ``v`` whose other end is ``w`` lies on side 1 iff
-    ``e == loop`` or ``lo <= disc[w] < hi``. With a self-loop, ``loop`` is
-    v's last one and the interval is empty; without, ``loop`` is -1 and
-    ``[lo, hi)`` is the ``[disc, fin)`` interval of v's latest-discovered
-    child that opens a block.
+    With a self-loop, side 1 is v's last loop, given as both edges. Without
+    one, ``v`` forces only as a cut node, and side 1 is the two edges whose
+    other ends lie in the subtree of v's latest-discovered child that opens
+    a block: their ``disc`` falls in that child's ``[disc, fin)`` interval.
     """
     nbr = g.nbr
+    eid = g.eid
     start = g.off[v]
-    # The out part of a degree-2 node is start, start + 1, by edge id.
-    if nbr[start + 1] == v:
-        return g.eid[start + 1], 0, 0
-    if nbr[start] == v:
-        return g.eid[start], 0, 0
+    # The out part of a degree-2 node is start, start + 1, and its in part
+    # start + 2, start + 3, each by edge id; a later loop is tried first.
+    for i in (start + 1, start):
+        if nbr[i] == v:
+            return eid[i], eid[i]
+    if not a.cut[v]:
+        return None
     disc = a.disc
     parent = a.parent
     opens = a.opens
@@ -120,7 +126,10 @@ def _split(g: Graph, a: Analysis, v: int) -> tuple[int, int, int]:
         c = nbr[i]
         if parent[c] == v and opens[c] and (latest < 0 or disc[c] > disc[latest]):
             latest = c
-    return -1, disc[latest], a.fin[latest]
+    lo, hi = disc[latest], a.fin[latest]
+    # Each side of a cut node is balanced: one out-edge, one in-edge.
+    out1 = eid[start] if lo <= disc[nbr[start]] < hi else eid[start + 1]
+    return out1, eid[start + 2] if lo <= disc[nbr[start + 2]] < hi else eid[start + 3]
 
 
 def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> array:
@@ -130,9 +139,7 @@ def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> array:
     succ = array("i", [-1]) * g.num_edges
     off = g.off
     out_end = g.out_end
-    nbr = g.nbr
     eid = g.eid
-    disc = a.disc
     for v, forcing in enumerate(in_a):
         if not forcing:
             continue
@@ -141,11 +148,10 @@ def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> array:
         if mid - start == 1:
             succ[eid[mid]] = eid[start]
             continue
-        loop, lo, hi = _split(g, a, v)
-        s0 = eid[start] == loop or lo <= disc[nbr[start]] < hi
-        for i in (mid, mid + 1):
-            e = eid[i]
-            succ[e] = eid[start + ((e == loop or lo <= disc[nbr[i]] < hi) == s0)]
+        out1, in1 = _sides(g, a, v)
+        # Each side's in-edge goes on to the other side's out-edge.
+        succ[eid[mid] if eid[mid + 1] == in1 else eid[mid + 1]] = out1
+        succ[in1] = eid[start] if eid[start + 1] == out1 else eid[start + 1]
     return succ
 
 
@@ -154,13 +160,12 @@ class SafePairChecker:
 
     Construction runs the analysis pass once, O(|E|). Each query then takes
     O(1): at a forcing degree-2 node the pair is safe iff its two edges lie
-    on different sides, as :func:`_split` reads them off the pass.
+    on different sides, as :func:`_sides` reads them off the pass.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self._a = require_eulerian(g)
-        self._degrees, self._in_a = _node_class_arrays(g, self._a)
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
         g = self.g
@@ -172,17 +177,16 @@ class SafePairChecker:
         if g.heads[e1] != g.tails[e2]:
             raise ContractError("edges are not consecutive: head of the first must be tail of the second")
         v = g.heads[e1]
-        d = self._degrees[v]
+        d = g.out_end[v] - g.off[v]
         if d == 1:
             return SafetyEvidence(True, "degree-one")
         if d >= 3:
             return SafetyEvidence(False, "degree-too-high")
-        if not self._in_a[v]:
+        sides = _sides(g, self._a, v)
+        if sides is None:
             return SafetyEvidence(False, "not-forced")
-        loop, lo, hi = _split(g, self._a, v)
-        disc = self._a.disc
-        cu = int(e1 == loop or lo <= disc[g.tails[e1]] < hi)
-        cw = int(e2 == loop or lo <= disc[g.heads[e2]] < hi)
+        out1, in1 = sides
+        cu, cw = int(e1 == in1), int(e2 == out1)
         if cu != cw:
             return SafetyEvidence(True, "cut-split", component_u=cu, component_w=cw)
         return SafetyEvidence(False, "not-in-any-circuit", component_u=cu, component_w=cw)
@@ -200,7 +204,7 @@ def is_safe_pair(g: Graph, e1: int, e2: int) -> SafetyEvidence:
 def has_unique_eulerian_circuit(g: Graph) -> bool:
     """Decide uniqueness of the Eulerian circuit in O(|E|): it is unique iff
     every node is forcing."""
-    return all(_node_class_arrays(g, require_eulerian(g))[1])
+    return all(_forcing(g)[2])
 
 
 # A walk of up to this many edges is a list; a longer one is an
@@ -221,8 +225,7 @@ def _safe_walks(g: Graph) -> tuple[int, bool, Iterator[Sequence[int]]]:
     longer than |E| can only come from a faulty successor table, and raises
     :class:`ContractError` instead of growing without bound.
     """
-    a = require_eulerian(g)
-    degrees, in_a = _node_class_arrays(g, a)
+    a, degrees, in_a = _forcing(g)
     succ = _forced_successors(g, a, in_a)
     # One walk per start: per out-edge of every non-forcing node.
     number = sum(compress(degrees, map(not_, in_a)))

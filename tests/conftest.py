@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from eulersafe import Graph, normalize, random_eulerian_edges
@@ -62,24 +61,19 @@ def eulerian_edge_sets(n: int) -> list[list[tuple[int, int]]]:
     labeled nodes 0..n-1 (each node incident to an edge)."""
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     num_pairs = len(pairs)
-    masks = np.arange(1, 1 << num_pairs, dtype=np.uint32)
-    idx = np.arange(1 << 16)
-    pc16 = (idx & 1).astype(np.uint16)
-    for s in range(1, 16):
-        pc16 = pc16 + ((idx >> s) & 1)
-
-    def popcount(x):
-        return pc16[x & 0xFFFF] + pc16[x >> 16]
-
-    keep = np.ones(masks.shape, bool)
+    masks = range(1, 1 << num_pairs)
     for v in range(n):
         out_mask = sum(1 << k for k, (t, _) in enumerate(pairs) if t == v)
         in_mask = sum(1 << k for k, (_, h) in enumerate(pairs) if h == v)
-        keep &= popcount(masks & out_mask) == popcount(masks & in_mask)
-        keep &= (masks & (out_mask | in_mask)) != 0
+        masks = [
+            mask
+            for mask in masks
+            if mask & (out_mask | in_mask)
+            and (mask & out_mask).bit_count() == (mask & in_mask).bit_count()
+        ]
 
     result = []
-    for mask in masks[keep]:
+    for mask in masks:
         edges = [pairs[k] for k in range(num_pairs) if (mask >> k) & 1]
         adjacency: dict[int, list[int]] = {}
         for t, h in edges:

@@ -646,6 +646,9 @@ def whole_file_error(path) -> str:
 RING_BYTES = "".join(f"n{i} n{(i + 1) % 10_000}\n" for i in range(10_000)).encode()
 
 
+BOM = "\ufeff".encode()
+
+
 NEWLINES = {
     "LF": "\n", "CR": "\r", "CRLF": "\r\n", "U+2028": "\u2028", "FF": "\x0c", "NEL": "\x85",
     "FS": "\x1c",
@@ -722,6 +725,42 @@ class TestStreamedInput:
             "parse error: line 10001: expected 'tail head', got 1 token(s)\n"
         )
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(BOM + b"# ring\n" + RING_BYTES)
+        g = cli._load_graph(str(path))
+        assert g.labels[0] == "n0"
+        assert g == parse_edge_list(RING_BYTES.decode())
+        # Only the first mark: a second one is part of the first label.
+        path.write_bytes(BOM + BOM + b"a b\nb a\n")
+        assert cli._load_graph(str(path)).labels == ["\ufeffa", "b", "a"]
+
+    def test_lines_after_a_byte_order_mark_keep_their_numbers(self, tmp_path, capsys):
+        assert self.stderr_of(tmp_path, BOM + b"# a graph\nbad\n" + RING_BYTES, capsys) == (
+            "parse error: line 2: expected 'tail head', got 1 token(s)\n"
+        )
+
+    @pytest.mark.parametrize("offset", [0, 1, 8_190, 33_783])
+    def test_offset_after_a_byte_order_mark_counts_the_mark(self, tmp_path, capsys, offset):
+        data = BOM + RING_BYTES[:offset] + b"\xff" + RING_BYTES[offset:]
+        assert self.stderr_of(tmp_path, data, capsys) == (
+            f"parse error: input is not valid UTF-8: invalid start byte at byte {offset + 3}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (BOM[:1], "unexpected end of data"),
+            (BOM[:2], "unexpected end of data"),
+            (BOM[:2] + b"a b\n", "invalid continuation byte"),
+        ],
+        ids=["one-byte", "two-bytes", "then-ascii"],
+    )
+    def test_cut_off_byte_order_mark(self, tmp_path, capsys, data, reason):
+        assert self.stderr_of(tmp_path, data, capsys) == (
+            f"parse error: input is not valid UTF-8: {reason} at byte 0\n"
+        )
+
 
 class TestStreamedInputSmallBlocks(TestStreamedInput):
     """The same cases with blocks of a few bytes, so that lines, line
@@ -766,7 +805,7 @@ class TestOneLineRule:
     def test_random_inputs_agree(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "BLOCK_SIZE", 7)
         rng = random.Random(12)
-        pieces = ["a", "b", "é", "#", " ", "\t", *NEWLINES.values()]
+        pieces = ["a", "b", "é", "#", " ", "\t", "\ufeff", *NEWLINES.values()]
         path = tmp_path / "graph.txt"
         for _ in range(300):
             text = "".join(rng.choices(pieces, k=rng.randint(0, 60)))

@@ -75,6 +75,13 @@ class TestParseEdgeList:
         g = parse_edge_list("\na b\n\nb a\n")
         assert g.num_edges == 2
 
+    def test_leading_byte_order_mark_dropped(self):
+        assert parse_edge_list("\ufeff# g\na b\nb a\n") == parse_edge_list("a b\nb a\n")
+        with pytest.raises(ParseError, match="line 2:"):
+            parse_edge_list("\ufeff# g\nbad\n")
+        # Only one, and only at the start: elsewhere U+FEFF is in a label.
+        assert parse_edge_list("\ufeff\ufeffa b\nb \ufeffa\n").labels == ["\ufeffa", "b"]
+
 
 def test_parse_peaks_under_twice_the_graph():
     # The CSR is filled in place, with no int object held per entry.

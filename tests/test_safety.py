@@ -409,3 +409,58 @@ def test_walks_are_maximal_chains_of_safe_pairs():
             for e2 in g.eid[g.off[v] : g.out_end[v]]:
                 if e2 != last:
                     assert not checker.check(last, e2).safe, (edges, last, e2)
+
+
+def test_forcing_flag_is_a_side_split(corpus_5):
+    """``_forcing`` sets a degree-2 node's flag from its loops and cut flag,
+    and ``_sides`` reads the same two to split it: the flag is set exactly
+    where ``_sides`` finds side 1."""
+    nodes = 0
+    for g in [*corpus_5, *raw_multigraphs(1000, seed=7)]:
+        a, degrees, flags = safety._forcing(g)
+        for v, d in enumerate(degrees):
+            if d == 2:
+                assert flags[v] == (safety._sides(g, a, v) is not None), (
+                    list(g.edge_pairs()), v,
+                )
+                nodes += 1
+    assert nodes > 10_000
+
+
+def de_bruijn_edges(seed: int, bases: int = 100_000, k: int = 12) -> list[tuple[str, str]]:
+    """The k-mers of a circular ACGT genome as edges between (k-1)-mers,
+    edge i the k-mer at position i, so the genome order is one Eulerian
+    circuit. About a hundred copied segments of 20 to 400 bases give long
+    repeats besides the short ones that chance gives."""
+    rng = random.Random(seed)
+    genome = rng.choices("ACGT", k=bases)
+    for _ in range(100):
+        length = rng.randint(20, 400)
+        source = rng.randrange(bases - length)
+        target = rng.randrange(bases - length)
+        genome[target : target + length] = genome[source : source + length]
+    text = "".join(genome)
+    text += text[: k - 1]
+    return [(text[i : i + k - 1], text[i + 1 : i + k]) for i in range(bases)]
+
+
+def test_de_bruijn_genome():
+    """On a genome-sized de Bruijn graph the walks follow the genome, and a
+    pair of consecutive genome edges is safe exactly inside a walk."""
+    g = Graph(de_bruijn_edges(seed=7))
+    m = g.num_edges
+    report = maximal_safe_walks(g)
+    assert not report.unique_circuit
+    assert sorted(e for walk in report.walks for e in walk) == list(range(m))
+    last = set()
+    for walk in report.walks:
+        assert all(f == (e + 1) % m for e, f in zip(walk, walk[1:])), walk[0]
+        last.add(walk[-1])
+    classes = classify_nodes(g)
+    loops = {t for t, h in g.edge_pairs() if t == h}
+    assert any(
+        c.degree == 2 and not c.is_cut and label not in loops for label, c in classes.items()
+    )
+    checker = SafePairChecker(g)
+    for e in range(m):
+        assert checker.check(e, (e + 1) % m).safe == (e not in last), e
