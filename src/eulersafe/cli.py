@@ -166,20 +166,29 @@ def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> 
     from .safety import WALK_CHUNK
 
     # json.dumps escapes strings with this same function under its default
-    # ensure_ascii=True, so each label is encoded once and every record
-    # matches json.dumps(record, sort_keys=True, separators=(",", ":"))
-    # byte for byte.
-    quoted = [encode_basestring_ascii(label) for label in g.labels]
+    # ensure_ascii=True, so every record matches
+    # json.dumps(record, sort_keys=True, separators=(",", ":")) byte for
+    # byte. It leaves a string unchanged only if no character in it needs
+    # escaping, and it never escapes a space, so WALK_CHUNK labels joined
+    # by spaces show at once whether any of them needs it. If none does,
+    # the labels are written as they are, with no copy of them held;
+    # otherwise each is escaped once, into a table without its quotes.
+    labels = names = g.labels
+    for i in range(0, len(labels), WALK_CHUNK):
+        chunk = " ".join(labels[i : i + WALK_CHUNK])
+        if encode_basestring_ascii(chunk) != f'"{chunk}"':
+            names = [encode_basestring_ascii(label)[1:-1] for label in labels]
+            break
     tails = g.tails
     heads = g.heads
     batch: list[str] = []
     for index, walk in enumerate(walks):
         if len(walk) <= WALK_CHUNK:
             edges = ",".join(map(str, walk))
-            nodes = ",".join([quoted[heads[e]] for e in walk])
+            nodes = '","'.join([names[heads[e]] for e in walk])
             batch.append(
                 f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
-                f'"nodes":[{quoted[tails[walk[0]]]},{nodes}],"record":"walk"}}\n'
+                f'"nodes":["{names[tails[walk[0]]]}","{nodes}"],"record":"walk"}}\n'
             )
             if len(batch) == 1024:
                 _flush(write, batch)
@@ -189,10 +198,10 @@ def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> 
         for i in range(0, len(walk), WALK_CHUNK):
             write(separator + ",".join(map(str, walk[i : i + WALK_CHUNK])))
             separator = ","
-        write(f'],"index":{index},"length":{len(walk)},"nodes":[{quoted[tails[walk[0]]]}')
+        write(f'],"index":{index},"length":{len(walk)},"nodes":["{names[tails[walk[0]]]}')
         for i in range(0, len(walk), WALK_CHUNK):
-            write("," + ",".join([quoted[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
-        write('],"record":"walk"}\n')
+            write('","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
+        write('"],"record":"walk"}\n')
     _flush(write, batch)
 
 

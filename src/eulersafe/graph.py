@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from io import IncrementalNewlineDecoder
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -47,11 +47,16 @@ class Graph:
     to ``v``. The out part serves directed walks; both parts together are
     the underlying undirected graph. ``off[num_nodes]`` is ``2 * num_edges``.
 
+    Apart from the label strings, a graph holds no Python object per node
+    or per edge: every table is an ``array("i")``. The ``{label: id}`` map
+    :attr:`index` is built on first use, so code that never looks a label
+    up never holds it.
+
     Instances must not be mutated after construction; they are safe to
     share between threads.
     """
 
-    __slots__ = ("labels", "index", "tails", "heads", "off", "out_end", "nbr", "eid")
+    __slots__ = ("labels", "_index", "tails", "heads", "off", "out_end", "nbr", "eid")
 
     def __init__(self, edges: Iterable[tuple[str, str]]):
         index: dict[str, int] = {}
@@ -63,8 +68,11 @@ class Graph:
             heads.append(intern(head, len(index)))
         if not tails:
             raise GraphError("graph must have at least one edge")
+        # The map holds an int object per node; free it before the CSR.
+        labels = list(index)
+        del index, intern
         # The CSR: count, then place.
-        n = len(index)
+        n = len(labels)
         m = len(tails)
         out_degree = [0] * n
         for t in tails:
@@ -75,8 +83,14 @@ class Graph:
         off = array("i", [0])
         off.extend(accumulate(degree))
         out_end = array("i", map(add, off, out_degree))
-        next_out = list(off[:-1])
-        next_in = list(out_end)
+        # The fill cursors. A list boxes an int per node up front, an array
+        # one per access: lists only where edges outnumber nodes 8 to 1.
+        if 8 * n <= m:
+            next_out = list(off[:-1])
+            next_in = list(out_end)
+        else:
+            next_out = off[:-1]
+            next_in = out_end[:]
         # Two 4-byte entries per edge, filled in place, so that no int object
         # is held per entry.
         nbr = array("i", bytes(8 * m))
@@ -92,14 +106,21 @@ class Graph:
             eid[p] = e
             next_in[h] = p + 1
             e += 1
-        self.labels = list(index)
-        self.index = index
+        self.labels = labels
+        self._index = None
         self.tails = tails
         self.heads = heads
         self.off = off
         self.out_end = out_end
         self.nbr = nbr
         self.eid = eid
+
+    @property
+    def index(self) -> dict[str, int]:
+        """``{label: id}``, built on first use and then kept."""
+        if self._index is None:
+            self._index = dict(zip(self.labels, range(len(self.labels))))
+        return self._index
 
     @property
     def num_nodes(self) -> int:
@@ -176,11 +197,28 @@ def parse_edge_list(text: str) -> Graph:
     lines starting with '#' are skipped. Raises :class:`ParseError` on a
     malformed line (with its 1-based number) or on an empty edge set.
     Lines are tokenized one at a time, straight into the graph's edge
-    arrays.
+    arrays, and split off the text about ``_SLICE`` characters at a time,
+    so that no list of all of them is held.
     """
     text = IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
     text = text.removeprefix("\ufeff")
-    return Graph(_edge_tokens(text.split("\n")))
+    return Graph(_edge_tokens(chain.from_iterable(_slices(text))))
+
+
+_SLICE = 1 << 13  # characters of text split into lines at a time
+
+
+def _slices(text: str) -> Iterator[list[str]]:
+    """``text.split("\n")`` in consecutive pieces, each cut at the first
+    "\n" at least ``_SLICE`` characters past the previous cut."""
+    start = 0
+    while True:
+        cut = text.find("\n", start + _SLICE)
+        if cut < 0:
+            yield text[start:].split("\n")
+            return
+        yield text[start:cut].split("\n")
+        start = cut + 1
 
 
 def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress, count
-from operator import not_
+from operator import not_, sub
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import Analysis, ContractError, Graph, require_eulerian
@@ -73,20 +73,21 @@ class SafetyEvidence(NamedTuple):
     component_w: Optional[int] = None
 
 
-def _forcing(g: Graph) -> tuple[Analysis, list[int], list[bool]]:
-    """The analysis pass, then the degree and the forcing flag of every node
-    id. Raises :class:`ContractError` if ``g`` is not Eulerian."""
+def _forcing(g: Graph) -> tuple[Analysis, array, bytearray]:
+    """The analysis pass, then the degree and the forcing flag (1 or 0) of
+    every node id, with no object held per node. Raises
+    :class:`ContractError` if ``g`` is not Eulerian."""
     a = require_eulerian(g)
     off = g.off
     nbr = g.nbr
-    degrees = [end - start for start, end in zip(off, g.out_end)]
+    degrees = array("i", map(sub, g.out_end, off))
     cut = a.cut
     # At a degree-2 node the out part is off[v], off[v] + 1; a loop there
     # has the node itself as the other end.
-    flags = [
+    flags = bytearray(
         d == 1 or (d == 2 and (cut[v] == 1 or nbr[off[v]] == v or nbr[off[v] + 1] == v))
         for v, d in enumerate(degrees)
-    ]
+    )
     return a, degrees, flags
 
 
@@ -94,7 +95,7 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     """Degree, cut-node status and forcing membership for every node."""
     a, degrees, flags = _forcing(g)
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=flags[v])
+        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=flags[v] == 1)
         for v, label in enumerate(g.labels)
     }
 
@@ -132,7 +133,7 @@ def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
     return out1, eid[start + 2] if lo <= disc[nbr[start + 2]] < hi else eid[start + 3]
 
 
-def _forced_successors(g: Graph, a: Analysis, in_a: list[bool]) -> array:
+def _forced_successors(g: Graph, a: Analysis, in_a: bytearray) -> array:
     """``succ[e]``, the out-edge every circuit takes after ``e``, or -1 where
     the head of ``e`` is not forcing: the only out-edge at degree 1, the
     out-edge on the other side at degree 2."""

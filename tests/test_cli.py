@@ -18,6 +18,7 @@ import eulersafe
 from eulersafe import (
     ParseError,
     cli,
+    graph,
     parse_edge_list,
     is_eulerian,
     maximal_safe_walks,
@@ -207,7 +208,7 @@ ESCAPED_LABELS = ['"', "\\", "\u00e9", "\U0001f600", "\x01", "\x7f", 'q"\\\u00e9
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 class TestSafeMatchesReference:
-    """`safe` encodes each label once and writes line by line; its stdout
+    """`safe` escapes a label at most once and writes line by line; its stdout
     must equal the record-by-record reference byte for byte."""
 
     @staticmethod
@@ -228,6 +229,20 @@ class TestSafeMatchesReference:
         out = capsys.readouterr().out
         g = parse_edge_list(path.read_text(encoding="utf-8"))
         assert g.labels == ESCAPED_LABELS
+        assert out == reference_safe_output(g, fmt)
+
+    @pytest.mark.parametrize("bidirected", [False, True], ids=["ring", "bidirected-ring"])
+    def test_label_escaped_past_the_first_chunk(self, monkeypatch, capsys, fmt, bidirected):
+        # Labels are checked for escaping WALK_CHUNK at a time; here only
+        # the last one, in the second chunk, needs it.
+        labels = [f"n{i}" for i in range(WALK_CHUNK + 1)] + ['late"\u00e9']
+        k = len(labels)
+        edges = [(labels[i], labels[(i + 1) % k]) for i in range(k)]
+        if bidirected:
+            edges += [(h, t) for t, h in edges]
+        g = parse_edge_list("".join(f"{t} {h}\n" for t, h in edges))
+        assert g.labels == labels
+        out = self.stdout_of(g, fmt, monkeypatch, capsys)
         assert out == reference_safe_output(g, fmt)
 
     def test_corpus(self, corpus_5, monkeypatch, capsys, fmt):
@@ -801,6 +816,24 @@ class TestOneLineRule:
             )
         else:
             assert expected.startswith("line 1: ")
+
+    @pytest.mark.parametrize("shift", range(-4, 5))
+    @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_line_across_a_slice_boundary(self, tmp_path, newline, shift):
+        # parse_edge_list splits its text graph._SLICE characters at a time;
+        # the comment puts each character of the lines after it at that
+        # boundary in turn.
+        lines = ["#" * (graph._SLICE - 4 + shift), "a b", "b a", "bad", ""]
+        data = newline.join(lines).encode()
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        expected = "line 4: expected 'tail head', got 1 token(s)"
+        assert load_outcome(parse_edge_list, data.decode()) == expected
+        assert load_outcome(cli._load_graph, str(path)) == expected
+        data = newline.join(lines[:3] + [""]).encode()
+        path.write_bytes(data)
+        assert load_outcome(parse_edge_list, data.decode()) == parse_edge_list("a b\nb a\n")
+        assert load_outcome(cli._load_graph, str(path)) == parse_edge_list("a b\nb a\n")
 
     def test_random_inputs_agree(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "BLOCK_SIZE", 7)

@@ -83,8 +83,20 @@ class TestParseEdgeList:
         assert parse_edge_list("\ufeff\ufeffa b\nb \ufeffa\n").labels == ["\ufeffa", "b"]
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, graph._SLICE])
+def test_slices_are_the_lines(monkeypatch, size):
+    monkeypatch.setattr(graph, "_SLICE", size)
+    rng = random.Random(size)
+    texts = ["", "\n", "\n\n", "a b", "a b\n"]
+    pieces = ["a", " ", "\n", "b c\n"]
+    texts += ["".join(rng.choices(pieces, k=rng.randint(1, 40))) for _ in range(200)]
+    for text in texts:
+        assert [line for part in graph._slices(text) for line in part] == text.split("\n")
+
+
 def test_parse_peaks_under_twice_the_graph():
-    # The CSR is filled in place, with no int object held per entry.
+    # The text is split into lines a slice at a time, and the CSR is
+    # filled in place, with no int object held per entry.
     text = "".join(f"{t} {h}\n" for t, h in cactus_edges(100_000, seed=11))
     tracemalloc.start()
     try:
@@ -110,9 +122,10 @@ class Discard:
 def test_safe_peaks_near_the_graph(tmp_path, monkeypatch, fmt):
     # `safe` parses its input as it reads it and writes each walk as it
     # follows it, so it holds neither the text, nor its lines, nor all the
-    # walks. Its peak is that of filling the CSR, about 1.58 times what the
-    # graph holds. Keeping the text and the walks took it past 2; holding
-    # every walk while writing structured output takes it to 1.69.
+    # walks. Its peak, about 1.58 times what the graph holds, comes while
+    # it builds the forced successors with the analysis pass's tables
+    # held, the DFS's `disc` list, an int object per node, the largest.
+    # Keeping the text and the walks took it past 2.
     path = tmp_path / "cactus.txt"
     path.write_text("".join(f"{t} {h}\n" for t, h in cactus_edges(100_000, seed=11)))
     load = cli._load_graph
@@ -184,6 +197,45 @@ class TestGraphModel:
             loops = [e for e in range(g.num_edges) if g.tails[e] == g.heads[e] == v]
             assert [e for e in outs if g.heads[e] == v] == loops
             assert [e for e in ins if g.tails[e] == v] == loops
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [(1, 8), (1, 7), (3, 24), (3, 23), (40, 320), (40, 319), (200, 210)],
+    )
+    def test_csr_matches_its_definition(self, nodes, edges):
+        # Graph fills the CSR through list cursors when 8·|V| <= |E| and
+        # array cursors otherwise; both must give the layout of the
+        # definition, and leave off and out_end as they were.
+        rng = random.Random(nodes * 1000 + edges)
+        pairs = [(str(v), str(rng.randrange(nodes))) for v in range(nodes)]
+        for _ in range(edges - nodes):
+            pairs.append((str(rng.randrange(nodes)), str(rng.randrange(nodes))))
+        g = Graph(pairs)
+        assert (g.num_nodes, g.num_edges) == (nodes, edges)
+        tails = [int(t) for t, _ in pairs]
+        heads = [int(h) for _, h in pairs]
+        off, out_end, nbr, eid = [0], [], [], []
+        for label in g.labels:
+            v = int(label)
+            outs = [e for e in range(edges) if tails[e] == v]
+            ins = [e for e in range(edges) if heads[e] == v]
+            out_end.append(off[-1] + len(outs))
+            off.append(out_end[-1] + len(ins))
+            nbr += [g.index[str(heads[e])] for e in outs] + [g.index[str(tails[e])] for e in ins]
+            eid += outs + ins
+        assert (list(g.off), list(g.out_end)) == (off, out_end)
+        assert (list(g.nbr), list(g.eid)) == (nbr, eid)
+
+    def test_index_is_built_on_first_use(self, tmp_path):
+        g = Graph([("b", "a"), ("a", "c"), ("c", "b"), ("b", "a")])
+        assert g._index is None
+        index = g.index
+        assert index == {"b": 0, "a": 1, "c": 2}
+        assert g.index is index
+        # Every command but the oracle ones looks no label up.
+        path = tmp_path / "graph.txt"
+        path.write_text("x y\ny x\n")
+        assert cli._load_graph(str(path))._index is None
 
     def test_no_edges_rejected(self):
         with pytest.raises(GraphError):
