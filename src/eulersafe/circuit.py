@@ -2,7 +2,9 @@
 biconnected blocks, and circuit surgery."""
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from itertools import accumulate
 from math import factorial, lgamma, log, log10
 from typing import Optional, Sequence
 
@@ -84,7 +86,7 @@ def verify_circuit(g: Graph, c: Circuit) -> bool:
     )
 
 
-def edge_blocks(g: Graph) -> tuple[list[int], int]:
+def edge_blocks(g: Graph) -> tuple[array, int]:
     """Biconnected block id of every edge, from the analysis pass.
 
     Returns ``(block, count)``: ``block[e]`` in ``0..count-1`` for each
@@ -92,14 +94,16 @@ def edge_blocks(g: Graph) -> tuple[list[int], int]:
     block. In discovery order a node either opens a new block with its
     tree edge or continues its parent's; an edge then belongs to the block
     of its endpoint discovered later (tree edges and back edges alike).
+    ``block`` is an ``array("i")``, as are the per-node tables behind it.
     Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
     a = require_eulerian(g)
     disc = a.disc
-    order = [0] * len(disc)
+    n = len(disc)
+    order = array("i", bytes(4 * n))
     for v, d in enumerate(disc):
         order[d] = v
-    node_block = [-1] * len(disc)
+    node_block = array("i", [-1]) * n
     count = 0
     for w in order[1:]:
         if a.opens[w]:
@@ -107,7 +111,7 @@ def edge_blocks(g: Graph) -> tuple[list[int], int]:
             count += 1
         else:
             node_block[w] = node_block[a.parent[w]]
-    block = [-1] * g.num_edges
+    block = array("i", [-1]) * g.num_edges
     for e, (t, h) in enumerate(zip(g.tails, g.heads)):
         if t != h:
             block[e] = node_block[t if disc[t] > disc[h] else h]
@@ -137,11 +141,21 @@ def count_circuits(g: Graph) -> int:
     before the factorials are multiplied out.
     """
     block, count = edge_blocks(g)
-    members: list[list[int]] = [[] for _ in range(count)]
+    # The non-loop edge ids, grouped by a counting sort into one array:
+    # block b's, ascending, are members[start[b] : start[b + 1]].
+    start = array("i", bytes(4 * (count + 1)))
+    for b in block:
+        if b >= 0:
+            start[b + 1] += 1
+    start = array("i", accumulate(start))
+    members = array("i", bytes(4 * start[-1]))
+    cursor = start[:-1]
     for e, b in enumerate(block):
         if b >= 0:
-            members[b].append(e)
-    reduced = [r for r in (_series_reduce(g, edges) for edges in members) if r]
+            members[cursor[b]] = e
+            cursor[b] += 1
+    blocks = (members[start[b] : start[b + 1]] for b in range(count))
+    reduced = [r for r in (_series_reduce(g, edges) for edges in blocks) if r]
     if sum(k**3 for k, _ in reduced) > MAX_BLOCK_NODES**3:
         largest = max(k for k, _ in reduced)
         raise ContractError(
@@ -174,7 +188,9 @@ def count_circuits(g: Graph) -> int:
     return product
 
 
-def _series_reduce(g: Graph, edges: list[int]) -> Optional[tuple[int, list[tuple[int, int]]]]:
+def _series_reduce(
+    g: Graph, edges: Sequence[int]
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
     """Series reduction of one Eulerian block, given by its edge ids.
 
     Every node of in-block degree 1 is contracted: its transition is

@@ -2,7 +2,8 @@
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
-2 for usage, I/O, or parse errors, for a count or an oracle comparison
+2 for usage, I/O, or parse errors (a label that stdout cannot encode is
+an I/O error), for a count or an oracle comparison
 refused by its size bounds (see ``circuit.MAX_BLOCK_NODES`` and
 ``circuit.MAX_COUNT_DIGITS``), and for running out of memory.
 """
@@ -10,66 +11,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from codecs import getincrementaldecoder
-from io import IncrementalNewlineDecoder
-from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
-from .graph import Graph, GraphError, ParseError, _edge_tokens, is_eulerian
+from .graph import Graph, GraphError, ParseError, _read_edge_list, is_eulerian
 
 if TYPE_CHECKING:
     from .safety import SafeWalkReport
 
 
-BLOCK_SIZE = 1 << 13  # bytes read from the input at a time
-
-
 def _load_graph(path: str) -> Graph:
-    """Parse the edge list at ``path`` as it is read, one line at a time.
-    Errors are those of decoding the whole file first: a byte that is not
-    UTF-8 anywhere in it wins over a malformed line."""
+    """The graph of the edge list at ``path``, parsed as it is read."""
     with open(path, "rb") as handle:
-        lines = chain.from_iterable(_lines(handle))
-        try:
-            return Graph(_edge_tokens(lines))
-        except ParseError:
-            for _ in lines:  # a bad byte later in the file still wins
-                pass
-            raise
-
-
-def _lines(handle) -> Iterator[list[str]]:
-    """The lines of the binary file ``handle`` without their endings: one
-    list per block of ``BLOCK_SIZE`` bytes, read once and decoded as UTF-8
-    after a leading byte-order mark, so that no generator resumes per line.
-    Lines end where :func:`~eulersafe.graph.parse_edge_list` ends them."""
-    decoder = getincrementaldecoder("utf-8-sig")()
-    decode = IncrementalNewlineDecoder(decoder, translate=True).decode
-    read = 0
-    partial: list[str] = []  # the open line's pieces, joined once: a join per block is quadratic
-    while True:
-        block = handle.read(BLOCK_SIZE)
-        read += len(block)
-        try:
-            text = decode(block, final=not block)
-            if not block:  # utf-8-sig holds back a cut-off mark even at the end
-                decoder.getstate()[0].decode()
-        except UnicodeDecodeError as exc:
-            # exc.object is what earlier blocks left undecoded, then this block.
-            at = read - len(exc.object) + exc.start
-            raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {at}") from None
-        *ended, last = text.split("\n")
-        if ended:
-            partial.append(ended[0])
-            ended[0] = "".join(partial)
-            partial.clear()
-            yield ended
-        partial.append(last)
-        if not block:
-            yield ["".join(partial)]
-            return
+        return _read_edge_list(handle)
 
 
 def cmd_check(args) -> int:
@@ -368,7 +323,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, GraphError) as exc:
+    except (OSError, GraphError, UnicodeEncodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

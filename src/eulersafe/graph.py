@@ -15,10 +15,11 @@ through them every analysis in the package run it once per call.
 from __future__ import annotations
 
 from array import array
+from codecs import getincrementaldecoder
 from io import IncrementalNewlineDecoder
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GraphError(Exception):
@@ -187,45 +188,86 @@ def is_valid_walk(g: Graph, edges: Sequence[int]) -> bool:
     return all(heads[edges[i]] == tails[edges[i + 1]] for i in range(len(edges) - 1))
 
 
+BLOCK_SIZE = 1 << 13  # characters of text, or bytes of a file, taken at a time
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list: one "tail head" pair per line.
 
-    Lines end at "\n", "\r\n" or a lone "\r", as in the command line's
-    reader; form feeds, U+0085, U+2028 and other separators are whitespace
-    within a line. One leading byte-order mark (U+FEFF) is dropped, as the
-    reader drops it; elsewhere U+FEFF is part of a label. Blank lines and
-    lines starting with '#' are skipped. Raises :class:`ParseError` on a
-    malformed line (with its 1-based number) or on an empty edge set.
-    Lines are tokenized one at a time, straight into the graph's edge
-    arrays, and split off the text about ``_SLICE`` characters at a time,
-    so that no list of all of them is held.
+    Lines end at "\n", "\r\n" or a lone "\r"; form feeds, U+0085, U+2028
+    and other separators are whitespace within a line. A leading U+FEFF
+    (byte-order mark) is dropped; elsewhere it is part of a label. Blank
+    lines and lines whose first token starts with '#' are skipped. Raises
+    :class:`ParseError` on a malformed line (with its 1-based number) or
+    on an empty edge set. The text is split into lines ``BLOCK_SIZE``
+    characters at a time and tokenized straight into the graph's edge
+    arrays, so that no list of all its lines is held.
     """
-    text = IncrementalNewlineDecoder(None, translate=True).decode(text, final=True)
-    text = text.removeprefix("\ufeff")
-    return Graph(_edge_tokens(chain.from_iterable(_slices(text))))
+    slices = (text[i : i + BLOCK_SIZE] for i in range(0, len(text), BLOCK_SIZE))
+    return Graph(_edge_tokens(_lines(slices)))
 
 
-_SLICE = 1 << 13  # characters of text split into lines at a time
+def _read_edge_list(handle: BinaryIO) -> Graph:
+    """:func:`parse_edge_list` of the binary file ``handle``, read once,
+    ``BLOCK_SIZE`` bytes at a time, as UTF-8. Errors come in input order:
+    a byte that is not UTF-8 raises :class:`ParseError` with its offset in
+    the input once the lines that end before it are parsed; a "\r" just
+    before it has not ended its line yet."""
+    decode = getincrementaldecoder("utf-8")().decode
+
+    def blocks() -> Iterator[str]:
+        read = 0
+        while True:
+            block = handle.read(BLOCK_SIZE)
+            read += len(block)
+            try:
+                text = decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                # exc.object is what earlier blocks left undecoded, then
+                # this block; all of it before exc.start is valid.
+                yield exc.object[: exc.start].decode()
+                at = read - len(exc.object) + exc.start
+                raise ParseError(f"input is not valid UTF-8: {exc.reason} at byte {at}") from None
+            yield text
+            if not block:
+                return
+
+    return Graph(_edge_tokens(_lines(blocks())))
 
 
-def _slices(text: str) -> Iterator[list[str]]:
-    """``text.split("\n")`` in consecutive pieces, each cut at the first
-    "\n" at least ``_SLICE`` characters past the previous cut."""
-    start = 0
-    while True:
-        cut = text.find("\n", start + _SLICE)
-        if cut < 0:
-            yield text[start:].split("\n")
-            return
-        yield text[start:cut].split("\n")
-        start = cut + 1
+def _lines(blocks: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the text that ``blocks`` make up, without their endings,
+    one list per block, so that no generator resumes per line.
+
+    Newlines are translated as the blocks arrive, so a "\r\n" split
+    between two blocks is one ending. A leading U+FEFF is dropped from
+    line 1. The pieces of a line that spans blocks are joined once, when
+    it ends: a join per block would be quadratic in its length.
+    """
+    decode = IncrementalNewlineDecoder(None, translate=True).decode
+    partial: list[str] = []
+    start = True
+    # One last, final call ends a "\r" held back at the end of the text.
+    for block, final in chain(zip(blocks, repeat(False)), [("", True)]):
+        text = decode(block, final)
+        if start and text:
+            text = text.removeprefix("\ufeff")
+            start = False
+        *ended, last = text.split("\n")
+        if ended:
+            partial.append(ended[0])
+            ended[0] = "".join(partial)
+            partial.clear()
+            yield ended
+        partial.append(last)
+    yield ["".join(partial)]
 
 
-def _edge_tokens(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Yield the ``[tail, head]`` token pair of every edge line; the k-th
-    item of ``lines`` is line k, without its ending."""
+def _edge_tokens(lines: Iterable[list[str]]) -> Iterator[list[str]]:
+    """Yield the ``[tail, head]`` token pair of every edge line; the lists
+    in ``lines`` hold line 1, 2, ... in order, without their endings."""
     empty = True
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(chain.from_iterable(lines), start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue

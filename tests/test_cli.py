@@ -621,6 +621,29 @@ class TestLargeAndMalformedInput:
         assert result.stderr.startswith("parse error: input is not valid UTF-8")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "args, text, code",
+        [(["check"], "é b\n", 2), (["safe"], "é b\nb é\n", 2),
+         (["safe", "--format", "structured"], "é b\nb é\n", 0)],
+        ids=["check", "safe", "structured"],
+    )
+    def test_label_stdout_cannot_encode(self, graph_file, args, text, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+        env["PYTHONIOENCODING"] = "ascii"
+        path = graph_file(text)
+        result = subprocess.run(
+            [sys.executable, "-m", "eulersafe.cli", args[0], path, *args[1:]],
+            capture_output=True, timeout=60, env=env,
+        )
+        assert result.returncode == code
+        if code == 0:
+            expected = reference_safe_output(parse_edge_list(text), "structured")
+            assert (result.stdout, result.stderr) == (expected.encode(), b"")
+        else:
+            assert result.stderr.startswith(b"error: 'ascii' codec can't encode character")
+            assert result.stderr.count(b"\n") == 1
+            assert b"\xe9" not in result.stdout
+
     def test_block_above_bound_is_refused(self, graph_file):
         k = MAX_BLOCK_NODES + 1
         text = "".join(f"b{i} b{(i + 1) % k}\nb{(i + 1) % k} b{i}\n" for i in range(k))
@@ -644,13 +667,21 @@ class TestLargeAndMalformedInput:
         assert result.stderr.count("\n") == 1
 
 
-def whole_file_error(path) -> str:
-    """The stderr line for an input that fails to load, as it was when the
-    whole file was decoded before any line was parsed."""
+def first_error(path) -> str:
+    """The stderr line for an input that fails to load: its first error in
+    input order. A byte that is not UTF-8 is reported unless a line that
+    ends before it is malformed; a "\r" just before the byte has not ended
+    its line yet."""
+    data = Path(path).read_bytes()
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = data.decode()
     except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode()
+        ended = head[: max(head.rfind("\n"), head.rfind("\r", 0, len(head) - 1)) + 1]
+        try:
+            parse_edge_list(ended + "a b\n")  # one edge, so that only a bad line fails
+        except ParseError as error:
+            return f"parse error: {error}\n"
         return f"parse error: input is not valid UTF-8: {exc.reason} at byte {exc.start}\n"
     with pytest.raises(ParseError) as info:
         parse_edge_list(text)
@@ -672,7 +703,7 @@ NEWLINES = {
 
 class TestStreamedInput:
     """The CLI parses its input as it reads it, a line at a time, and fails
-    as it did when it decoded the whole file first."""
+    at the first error in input order."""
 
     @staticmethod
     def stderr_of(tmp_path, data: bytes, capsys) -> str:
@@ -681,7 +712,7 @@ class TestStreamedInput:
         assert cli.main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == whole_file_error(path)
+        assert captured.err == first_error(path)
         return captured.err
 
     def test_offset_past_the_first_chunk(self, tmp_path, capsys):
@@ -719,17 +750,43 @@ class TestStreamedInput:
 
     def test_crlf_across_the_decoder_chunk(self, tmp_path, capsys):
         # "\r" ends the first block and "\n" starts the next: one line ending.
-        data = b"#" * (cli.BLOCK_SIZE - 1) + b"\r\na b\r\nb a\r\nbad\r\n"
+        data = b"#" * (graph.BLOCK_SIZE - 1) + b"\r\na b\r\nb a\r\nbad\r\n"
         assert self.stderr_of(tmp_path, data, capsys) == (
             "parse error: line 4: expected 'tail head', got 1 token(s)\n"
         )
 
-    def test_bad_byte_wins_over_an_earlier_malformed_line(self, tmp_path, capsys):
-        data = b"bad\n" + RING_BYTES + b"\xff\n"
-        assert self.stderr_of(tmp_path, data, capsys) == (
-            "parse error: input is not valid UTF-8: invalid start byte "
-            f"at byte {4 + len(RING_BYTES)}\n"
-        )
+    @pytest.mark.parametrize(
+        "case, cut, error",
+        [
+            (b"bad\n\xff", 4, "line 2"),
+            (b"bad\n\xff", 2, "line 2"),
+            (b"bad\n" + RING_BYTES + b"\xff", 4, "line 2"),
+            (b"bad\r\n\xff", 4, "line 2"),
+            (b"bad\r\r\xff", 4, "line 2"),
+            (b"bad\n\xe2\x82a", 6, "line 2"),
+            (b"\xffbad\n", 1, "byte 8191"),
+            (b"a b\n\xffbad\n", 4, "byte 8192"),
+            (b"bad\r\xff", 4, "byte 8192"),
+            (b"bad\r\xff", 3, "byte 8193"),
+            (b"bad\xff\n", 3, "byte 8192"),
+        ],
+        ids=[
+            "line-then-byte", "line-and-byte-in-one-block", "line-long-before",
+            "crlf-then-byte", "cr-cr-then-byte", "line-then-cut-off-sequence",
+            "byte-then-line", "edge-byte-line", "cr-then-byte-across",
+            "cr-then-byte-in-one-block", "unended-line-then-byte",
+        ],
+    )
+    def test_errors_come_in_input_order(self, tmp_path, capsys, case, cut, error):
+        # A comment line puts case[cut] at byte 8192, the start of the
+        # second block of the default size; the case begins on line 2.
+        data = b"#" * (8191 - cut) + b"\n" + case
+        err = self.stderr_of(tmp_path, data, capsys)
+        if error.startswith("line"):
+            assert err == f"parse error: {error}: expected 'tail head', got 1 token(s)\n"
+        else:
+            assert err.startswith("parse error: input is not valid UTF-8: ")
+            assert err.endswith(f" at {error}\n")
 
     def test_bad_byte_wins_over_no_edges(self, tmp_path, capsys):
         err = self.stderr_of(tmp_path, b"# no edges\n" * 10_000 + b"\xff", capsys)
@@ -783,7 +840,7 @@ class TestStreamedInputSmallBlocks(TestStreamedInput):
 
     @pytest.fixture(autouse=True, params=[1, 5])
     def small_blocks(self, request, monkeypatch):
-        monkeypatch.setattr(cli, "BLOCK_SIZE", request.param)
+        monkeypatch.setattr(graph, "BLOCK_SIZE", request.param)
 
 
 def load_outcome(load, source):
@@ -820,10 +877,10 @@ class TestOneLineRule:
     @pytest.mark.parametrize("shift", range(-4, 5))
     @pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
     def test_line_across_a_slice_boundary(self, tmp_path, newline, shift):
-        # parse_edge_list splits its text graph._SLICE characters at a time;
-        # the comment puts each character of the lines after it at that
-        # boundary in turn.
-        lines = ["#" * (graph._SLICE - 4 + shift), "a b", "b a", "bad", ""]
+        # parse_edge_list takes its text graph.BLOCK_SIZE characters at a
+        # time; the comment puts each character of the lines after it at
+        # that boundary in turn.
+        lines = ["#" * (graph.BLOCK_SIZE - 4 + shift), "a b", "b a", "bad", ""]
         data = newline.join(lines).encode()
         path = tmp_path / "graph.txt"
         path.write_bytes(data)
@@ -836,7 +893,7 @@ class TestOneLineRule:
         assert load_outcome(cli._load_graph, str(path)) == parse_edge_list("a b\nb a\n")
 
     def test_random_inputs_agree(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "BLOCK_SIZE", 7)
+        monkeypatch.setattr(graph, "BLOCK_SIZE", 7)
         rng = random.Random(12)
         pieces = ["a", "b", "é", "#", " ", "\t", "\ufeff", *NEWLINES.values()]
         path = tmp_path / "graph.txt"
@@ -890,6 +947,33 @@ class TestUnseekableInput:
     )
     def test_pipe_on_dev_stdin(self, data, expected):
         assert check_child("/dev/stdin", input=data) == expected
+
+    def test_endless_pipe_with_a_malformed_line(self):
+        # Reading to the end of this input before reporting would never end.
+        env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "eulersafe.cli", "check", "/dev/stdin"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            bufsize=0, env=env,
+        ) as child:
+
+            def feed():
+                with contextlib.suppress(BrokenPipeError):
+                    while True:
+                        child.stdin.write(b"a b c\n" * 1024)
+
+            writer = threading.Thread(target=feed, daemon=True)
+            writer.start()
+            try:
+                code = child.wait(timeout=60)
+            finally:
+                child.kill()
+                writer.join(timeout=10)
+            out, err = child.stdout.read(), child.stderr.read()
+        assert not writer.is_alive()
+        assert (code, out, err) == (
+            2, b"", b"parse error: line 1: expected 'tail head', got 3 token(s)\n"
+        )
 
 
 class TestGen:

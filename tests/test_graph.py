@@ -83,19 +83,22 @@ class TestParseEdgeList:
         assert parse_edge_list("\ufeff\ufeffa b\nb \ufeffa\n").labels == ["\ufeffa", "b"]
 
 
-@pytest.mark.parametrize("size", [1, 2, 5, graph._SLICE])
-def test_slices_are_the_lines(monkeypatch, size):
-    monkeypatch.setattr(graph, "_SLICE", size)
+@pytest.mark.parametrize("size", [1, 2, 5, graph.BLOCK_SIZE])
+def test_slices_are_the_lines(size):
     rng = random.Random(size)
-    texts = ["", "\n", "\n\n", "a b", "a b\n"]
-    pieces = ["a", " ", "\n", "b c\n"]
-    texts += ["".join(rng.choices(pieces, k=rng.randint(1, 40))) for _ in range(200)]
+    texts = ["", "\n", "\r", "\r\n", "\n\n", "a b", "a b\n", "\ufeff", "\ufeff\ufeffa\r"]
+    pieces = ["a", " ", "\n", "\r", "\r\n", "\u2028", "\ufeff", "b c\n"]
+    for _ in range(300):
+        text = "".join(rng.choices(pieces, k=rng.randint(1, 40)))
+        texts.append(rng.choice(["", "\ufeff"]) + text)
     for text in texts:
-        assert [line for part in graph._slices(text) for line in part] == text.split("\n")
+        blocks = [text[i : i + size] for i in range(0, len(text), size)]
+        lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+        assert [line for part in graph._lines(blocks) for line in part] == lines.split("\n")
 
 
 def test_parse_peaks_under_twice_the_graph():
-    # The text is split into lines a slice at a time, and the CSR is
+    # The text is split into lines a block at a time, and the CSR is
     # filled in place, with no int object held per entry.
     text = "".join(f"{t} {h}\n" for t, h in cactus_edges(100_000, seed=11))
     tracemalloc.start()
