@@ -2,10 +2,10 @@
 
 Linear-time decisions about directed Eulerian graphs: whether the Eulerian
 circuit is unique, which consecutive edge pairs are forced in every
-circuit, and the full set of maximal safe walks. Independent oracles
-(exhaustive enumeration, determinant-based counting, cycle-intersection
-test) are provided for verification; exact circuit counting factors the
-BEST theorem over biconnected blocks. Self-loops and parallel edges are
+circuit, and the full set of maximal safe walks. Oracles (exhaustive
+enumeration, determinant-based counting, transition splitting,
+cycle-intersection test) are provided for verification; exact circuit
+counting factors the BEST theorem over biconnected blocks. Self-loops and parallel edges are
 analysed as they are, by the oracles too.
 
 Importing the package loads none of its submodules: each public name is
@@ -21,7 +21,6 @@ _SUBMODULE = {
     "ComponentSplit": "oracles",
     "ContractError": "graph",
     "CountReport": "oracles",
-    "EnumerationOverflow": "oracles",
     "EnumerationResult": "oracles",
     "EulerCheck": "graph",
     "Graph": "graph",
@@ -54,7 +53,6 @@ _SUBMODULE = {
     "parse_edge_list": "graph",
     "pevzner_intersection_graph": "oracles",
     "random_eulerian_edges": "generator",
-    "swap_at_node": "circuit",
     "underlying_undirected": "graph",
     "verify_circuit": "circuit",
     "walk_nodes": "graph",

@@ -1,5 +1,5 @@
-"""Eulerian circuit construction (Hierholzer), exact circuit counting over
-biconnected blocks, and circuit surgery."""
+"""Eulerian circuit construction (Hierholzer) and exact circuit counting
+over biconnected blocks."""
 from __future__ import annotations
 
 from array import array
@@ -141,6 +141,25 @@ def count_circuits(g: Graph) -> int:
     before the factorials are multiplied out.
     """
     block, count = edge_blocks(g)
+    # Series reduction keeps the nodes with two or more out-edges in a
+    # block; a block without one is a directed cycle. kept[b] counts block
+    # b's, and the bound is checked on these counts before any block's
+    # edges are gathered.
+    kept = array("i", [0]) * count
+    eid = g.eid
+    for lo, hi in zip(g.off, g.out_end):
+        if hi - lo > 1:
+            for b, d in Counter(map(block.__getitem__, eid[lo:hi])).items():
+                if d > 1 and b >= 0:
+                    kept[b] += 1
+    reduced = [(k, b) for b, k in enumerate(kept) if k]
+    if sum(k**3 for k, _ in reduced) > MAX_BLOCK_NODES**3:
+        largest = max(k for k, _ in reduced)
+        raise ContractError(
+            f"exact count refused: {len(reduced)} block(s) of up to {largest} nodes "
+            f"after series reduction exceed the determinant bound of one "
+            f"{MAX_BLOCK_NODES}-node block"
+        )
     # The non-loop edge ids, grouped by a counting sort into one array:
     # block b's, ascending, are members[start[b] : start[b + 1]].
     start = array("i", bytes(4 * (count + 1)))
@@ -154,23 +173,14 @@ def count_circuits(g: Graph) -> int:
         if b >= 0:
             members[cursor[b]] = e
             cursor[b] += 1
-    blocks = (members[start[b] : start[b + 1]] for b in range(count))
-    reduced = [r for r in (_series_reduce(g, edges) for edges in blocks) if r]
-    if sum(k**3 for k, _ in reduced) > MAX_BLOCK_NODES**3:
-        largest = max(k for k, _ in reduced)
-        raise ContractError(
-            f"exact count refused: {len(reduced)} block(s) of up to {largest} nodes "
-            f"after series reduction exceed the determinant bound of one "
-            f"{MAX_BLOCK_NODES}-node block"
-        )
     degrees = Counter(end - start for start, end in zip(g.off, g.out_end))
     # log10 of the answer, known before any big product: lgamma(d) is
     # ln (d - 1)!, and the determinants are small, their blocks bounded above.
     magnitude = sum(k * lgamma(d) for d, k in degrees.items()) / log(10)
     product = 1
-    for k, arcs in reduced:
+    for k, b in reduced:
         lap = [[0] * k for _ in range(k)]
-        for i, j in arcs:
+        for i, j in _series_reduce(g, members[start[b] : start[b + 1]]):
             lap[i][i] += 1
             lap[i][j] -= 1
         # Rooted at kept node 0: delete its row and column.
@@ -188,23 +198,20 @@ def count_circuits(g: Graph) -> int:
     return product
 
 
-def _series_reduce(
-    g: Graph, edges: Sequence[int]
-) -> Optional[tuple[int, list[tuple[int, int]]]]:
-    """Series reduction of one Eulerian block, given by its edge ids.
+def _series_reduce(g: Graph, edges: Sequence[int]) -> list[tuple[int, int]]:
+    """Series reduction of one Eulerian block that is not a directed cycle,
+    given by its edge ids.
 
     Every node of in-block degree 1 is contracted: its transition is
-    forced, so the arborescence count is unchanged. Returns ``(k, arcs)``
-    over the ``k`` kept nodes, numbered 0..k-1, with one arc per kept
-    out-edge (parallel arcs repeat), or None for a directed cycle.
+    forced, so the arborescence count is unchanged. Returns one arc per
+    kept out-edge (parallel arcs repeat) over the kept nodes, numbered
+    0..k-1 in order of their first out-edge.
     """
     tails = g.tails
     heads = g.heads
     succ: dict[int, list[int]] = {}
     for e in edges:
         succ.setdefault(tails[e], []).append(heads[e])
-    if len(succ) == len(edges):
-        return None
     index: dict[int, int] = {}
     for v, out in succ.items():
         if len(out) > 1:
@@ -215,7 +222,7 @@ def _series_reduce(
             while w not in index:
                 w = succ[w][0]
             arcs.append((i, index[w]))
-    return len(index), arcs
+    return arcs
 
 
 def _bareiss_determinant(a: list[list[int]]) -> int:
@@ -250,47 +257,3 @@ def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
     edges = tuple(edges)
     i = edges.index(min(edges))
     return edges[i:] + edges[:i]
-
-
-def _cyclic_slice(seq: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    if i <= j:
-        return tuple(seq[i:j])
-    return tuple(seq[i:]) + tuple(seq[:j])
-
-
-def swap_at_node(g: Graph, c: Circuit, v: str, occ: int) -> Circuit:
-    """Exchange the two sub-circuits around an occurrence of ``v``.
-
-    ``occ`` selects (0-based, in circuit order) the middle of three
-    consecutive occurrences of ``v``; the sub-circuit leading into that
-    occurrence and the one leaving it are swapped. The result is a valid
-    circuit over the same edge multiset whose edge pair meeting at the
-    selected occurrence differs from the input's. Requires ``v`` to occur at
-    least three times.
-    """
-    node = g.index.get(v)
-    if node is None:
-        raise ContractError(f"node '{v}' is not in the graph")
-    tails = g.tails
-    edges = c.edges
-    k = len(edges)
-    occurrences = [i for i in range(k) if tails[edges[i]] == node]
-    count = len(occurrences)
-    if count < 3:
-        raise ContractError(
-            f"node '{v}' occurs {count} time(s) in the circuit; need at least 3"
-        )
-    if not 0 <= occ < count:
-        raise ContractError(f"occurrence index {occ} out of range [0, {count})")
-    prev = occurrences[(occ - 1) % count]
-    mid = occurrences[occ]
-    nxt = occurrences[(occ + 1) % count]
-    before = _cyclic_slice(edges, prev, mid)
-    after = _cyclic_slice(edges, mid, nxt)
-    rest = _cyclic_slice(edges, nxt, prev)
-    swapped = after + before + rest
-    # Re-anchor on the input's first edge so repeated swaps are comparable.
-    i = swapped.index(edges[0])
-    if i:
-        swapped = swapped[i:] + swapped[:i]
-    return Circuit(swapped)

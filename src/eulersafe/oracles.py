@@ -1,12 +1,14 @@
-"""Independent ground-truth generators for the linear-time algorithms.
+"""Ground-truth generators for the linear-time algorithms.
 
-Everything here is deliberately exponential or determinant-based so that it
-shares no code path with the linear-time pipeline it cross-checks:
-exhaustive circuit enumeration, arborescence counting via exact integer
-determinants, brute-force safe walks and component splits straight from
-the definition, and the classic cycle-intersection-graph uniqueness test.
-The one shared routine is the Bareiss determinant, which the dense
-:func:`count_best` borrows from the block-factored production counter.
+Each reaches its answer by a route other than the linear-time pipeline it
+cross-checks: exhaustive circuit enumeration, arborescence counting via
+exact integer determinants, safe walks straight from the definition by
+transition splitting, component splits by plain traversal, and the
+classic cycle-intersection-graph uniqueness test. Two routines are shared
+with the pipeline: the oracles that take an Eulerian graph start with its
+Euler check, :func:`~eulersafe.graph.require_eulerian`, and the dense
+:func:`count_best` borrows the Bareiss determinant from the block-factored
+production counter.
 
 Every oracle takes a multigraph as it is. :func:`normalize`, which rewrites
 self-loops and parallel edges into two-edge paths, feeds none of them; it
@@ -19,12 +21,8 @@ from math import factorial
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
-from .graph import Circuit, ContractError, Graph, GraphError, require_eulerian
+from .graph import Circuit, ContractError, Graph, require_eulerian
 from .safety import SafeWalkReport
-
-
-class EnumerationOverflow(GraphError):
-    """Exhaustive enumeration hit its circuit cap."""
 
 
 class EnumerationResult(NamedTuple):
@@ -362,44 +360,67 @@ def count_best(g: Graph) -> CountReport:
     )
 
 
-def brute_force_safe_walks(g: Graph, cap: Optional[int] = None) -> SafeWalkReport:
+def _takes(g: Graph, e: int, f: int) -> bool:
+    """Does some Eulerian circuit of ``g`` take ``f`` right after ``e``?
+
+    Splice the pair: remove both edges and add one edge from the tail of
+    ``e`` to the head of ``f``. The spliced graph is still balanced, and
+    its circuits are exactly the circuits of ``g`` that take ``f`` right
+    after ``e``, the pair merged into the new edge. By Euler's theorem it
+    has one iff its edges are connected, which a union-find over its nodes
+    decides. An edge follows itself only when it is the whole graph.
+    """
+    if e == f:
+        return g.num_edges == 1
+    parent = list(range(g.num_nodes))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tails = g.tails
+    spliced = [(tails[e], g.heads[f])]
+    spliced += (p for x, p in enumerate(zip(tails, g.heads)) if x != e and x != f)
+    for t, h in spliced:
+        parent[find(t)] = find(h)
+    root = find(tails[e])
+    return all(find(t) == root for t, _ in spliced)
+
+
+def _possible_successors(g: Graph, e: int) -> list[int]:
+    """The out-edges that some Eulerian circuit takes right after ``e``,
+    in CSR order, the search stopped at the second one found."""
+    v = g.heads[e]
+    found = []
+    for f in g.eid[g.off[v] : g.out_end[v]]:
+        if _takes(g, e, f):
+            found.append(f)
+            if len(found) == 2:
+                break
+    return found
+
+
+def brute_force_safe_walks(g: Graph) -> SafeWalkReport:
     """Maximal safe walks straight from the definition.
 
-    A walk appears in a circuit exactly when each of its consecutive edge
-    pairs does, so enumerating every Eulerian circuit and recording which
-    successor pairs of the first circuit survive in all of them yields the
-    safe walks: the maximal circular runs of the first circuit whose
-    internal junctions all survive. The search stops early once every
-    junction is refuted (the answer is then fixed: all single edges).
-    Raises :class:`EnumerationOverflow` when ``cap`` circuits are exceeded
-    while junctions are still undecided, and :class:`ContractError` for a
-    negative ``cap``.
+    A pair (e, f) is safe when every Eulerian circuit takes ``f`` right
+    after ``e``, that is when ``f`` is the only successor of ``e`` that
+    some circuit takes (:func:`_takes`). A walk appears in every circuit
+    exactly when each of its consecutive pairs does, so the safe walks are
+    the maximal circular runs of any one circuit whose internal junctions
+    are all safe: the first circuit of :func:`_circuits`, cut after every
+    edge with two possible successors. If no edge has, the circuit is
+    unique and reported whole. An edge into a node of degree d takes at
+    most d connectivity tests of O(|E|) each. Raises :class:`ContractError`
+    if ``g`` is not Eulerian.
     """
-    m = g.num_edges
-    for seen, path in enumerate(_capped(g, cap), start=1):
-        if cap is not None and seen > cap:
-            raise EnumerationOverflow(
-                f"more than {cap} Eulerian circuits; brute force is not feasible"
-            )
-        if seen == 1:
-            base = tuple(path)
-            succ = [0] * m
-            for i in range(m):
-                succ[path[i]] = path[(i + 1) % m]
-            forced = bytearray(b"\x01") * m
-            alive = m
-            continue
-        for i in range(m):
-            e = path[i]
-            if forced[e] and succ[e] != path[(i + 1) % m]:
-                forced[e] = 0
-                alive -= 1
-        if not alive:
-            break
-    if seen == 1:
+    base = tuple(next(_circuits(g)))
+    m = len(base)
+    cut_after = [i for i in range(m) if len(_possible_successors(g, base[i])) > 1]
+    if not cut_after:
         return SafeWalkReport(walks=(base,), unique_circuit=True, total_edge_length=m)
-    # Cut the first circuit after every edge whose successor was refuted.
-    cut_after = [i for i in range(m) if not forced[base[i]]]
     walks: list[tuple[int, ...]] = []
     for idx, a in enumerate(cut_after):
         b = cut_after[idx + 1] if idx + 1 < len(cut_after) else cut_after[0] + m

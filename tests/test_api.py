@@ -1,6 +1,8 @@
 """The benchmark's per-layer trace and pair script find every public name
-they call, so no per-layer metric goes absent when the API is pruned."""
+they call, so no per-layer metric goes absent when the API is pruned, and
+README names every public name."""
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -33,3 +35,9 @@ def test_pair_script_names_are_exported():
     }
     assert imported
     assert sorted(imported - set(eulersafe.__all__)) == []
+
+
+def test_readme_names_every_public_name():
+    readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in eulersafe.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []

@@ -1,6 +1,4 @@
-"""Circuit construction, verification, and the sub-circuit swap."""
-import random
-
+"""Circuit construction and verification."""
 import pytest
 
 from eulersafe import (
@@ -8,10 +6,7 @@ from eulersafe import (
     ContractError,
     Graph,
     canonical_rotation,
-    normalize,
-    random_eulerian_edges,
     find_eulerian_circuit,
-    swap_at_node,
     verify_circuit,
 )
 
@@ -78,68 +73,3 @@ class TestCanonicalRotation:
 
     def test_fixed_point(self):
         assert canonical_rotation((0, 3, 1)) == (0, 3, 1)
-
-
-class TestSwapAtNode:
-    def test_three_triangles_middle_occurrence(self, three_triangles):
-        c = find_eulerian_circuit(three_triangles)
-        swapped = swap_at_node(three_triangles, c, "v", 1)
-        assert swapped.edges == (0, 1, 2, 6, 7, 8, 3, 4, 5)
-        assert verify_circuit(three_triangles, swapped)
-
-    def test_changes_pair_at_selected_occurrence(self, three_triangles):
-        g = three_triangles
-        c = find_eulerian_circuit(g)
-        node = g.index["v"]
-        for occ in range(3):
-            swapped = swap_at_node(g, c, "v", occ)
-            assert verify_circuit(g, swapped)
-            before = {
-                (c.edges[i - 1], c.edges[i])
-                for i in range(len(c.edges))
-                if g.tails[c.edges[i]] == node
-            }
-            after = {
-                (swapped.edges[i - 1], swapped.edges[i])
-                for i in range(len(swapped.edges))
-                if g.tails[swapped.edges[i]] == node
-            }
-            assert before != after
-
-    def test_involution(self, three_triangles):
-        g = three_triangles
-        c = find_eulerian_circuit(g)
-        for occ in range(3):
-            swapped = swap_at_node(g, c, "v", occ)
-            # The occurrence keeps its index because re-anchoring restores
-            # the original starting edge.
-            assert swap_at_node(g, swapped, "v", occ) == c
-
-    def test_requires_three_occurrences(self, figure_eight):
-        c = find_eulerian_circuit(figure_eight)
-        with pytest.raises(ContractError, match="at least 3"):
-            swap_at_node(figure_eight, c, "v", 0)
-
-    def test_unknown_node_and_bad_occurrence(self, three_triangles):
-        c = find_eulerian_circuit(three_triangles)
-        with pytest.raises(ContractError, match="not in the graph"):
-            swap_at_node(three_triangles, c, "zz", 0)
-        with pytest.raises(ContractError, match="out of range"):
-            swap_at_node(three_triangles, c, "v", 3)
-
-    def test_random_graphs(self):
-        rng = random.Random(99)
-        tried = 0
-        while tried < 40:
-            edges = random_eulerian_edges(5, 3, seed=rng)
-            g, _ = normalize(Graph(edges))
-            degrees = [end - start for start, end in zip(g.off, g.out_end)]
-            if max(degrees) < 3:
-                continue
-            tried += 1
-            v = g.labels[degrees.index(max(degrees))]
-            c = find_eulerian_circuit(g)
-            for occ in range(max(degrees)):
-                swapped = swap_at_node(g, c, v, occ)
-                assert verify_circuit(g, swapped)
-                assert swapped.edges != c.edges

@@ -131,6 +131,17 @@ def test_block_bound_is_checked_before_the_factorials(monkeypatch):
         count_circuits(Graph(bidirected_ring(MAX_BLOCK_NODES + 1)))
 
 
+def test_block_bound_is_checked_before_series_reduction(monkeypatch):
+    # Reducing a block builds lists over all its edges: on a million-edge
+    # input that tripled the memory of a refusal.
+    def reduce_not_expected(g, edges):
+        raise AssertionError("block reduced before the block bound")
+
+    monkeypatch.setattr("eulersafe.circuit._series_reduce", reduce_not_expected)
+    with pytest.raises(ContractError, match="1 block[(]s[)] of up to 151 nodes"):
+        count_circuits(Graph(bidirected_ring(MAX_BLOCK_NODES + 1)))
+
+
 @pytest.mark.parametrize(
     "edges",
     [

@@ -19,7 +19,11 @@ from eulersafe import (
     normalize,
 )
 from eulersafe import safety
-from eulersafe.oracles import brute_force_safe_walks, enumerate_eulerian_circuits
+from eulersafe.oracles import (
+    _possible_successors,
+    brute_force_safe_walks,
+    enumerate_eulerian_circuits,
+)
 from eulersafe.safety import WALK_CHUNK
 
 
@@ -357,8 +361,7 @@ def test_raw_multigraphs_match_normalized_pipeline():
         edges = list(g.edge_pairs())
         report = maximal_safe_walks(g)
         assert report == maximal_safe_walks(ng, norm_map=nm), edges
-        if g.num_edges <= 8:
-            assert walk_multiset(report) == walk_multiset(brute_force_safe_walks(g)), edges
+        assert walk_multiset(report) == walk_multiset(brute_force_safe_walks(g)), edges
         assert has_unique_eulerian_circuit(g) == report.unique_circuit
         assert has_unique_eulerian_circuit(g) == has_unique_eulerian_circuit(ng), edges
         classes = classify_nodes(g)
@@ -464,3 +467,33 @@ def test_de_bruijn_genome():
     checker = SafePairChecker(g)
     for e in range(m):
         assert checker.check(e, (e + 1) % m).safe == (e not in last), e
+
+
+def test_pair_verdicts_match_the_definition(corpus_5):
+    """A pair (e, f) is safe exactly when f is the only successor of e that
+    some circuit takes, by splicing the pair into one edge, and that f is
+    then the forced successor the walks follow. This covers every
+    consecutive pair of two distinct edges, those at nodes of degree 3 or
+    more included, and the safe walks of mid-sized de Bruijn graphs."""
+    pairs = high = 0
+    for g in [*corpus_5, *raw_multigraphs(1000, seed=11)]:
+        edges = list(g.edge_pairs())
+        checker = SafePairChecker(g)
+        a, _, in_a = safety._forcing(g)
+        forced = safety._forced_successors(g, a, in_a)
+        for e in range(g.num_edges):
+            possible = _possible_successors(g, e)
+            assert forced[e] == (possible[0] if len(possible) == 1 else -1), (edges, e)
+            v = g.heads[e]
+            for f in g.eid[g.off[v] : g.out_end[v]]:
+                if f != e:
+                    safe = checker.check(e, f).safe
+                    assert safe == (possible == [f]), (edges, e, f)
+                    pairs += 1
+                    high += g.out_end[v] - g.off[v] >= 3
+    assert high > 10_000
+    for seed, bases, k in [(1, 500, 3), (2, 700, 4), (3, 1000, 5), (4, 1200, 6)]:
+        g = Graph(de_bruijn_edges(seed, bases, k))
+        expected = walk_multiset(maximal_safe_walks(g))
+        assert walk_multiset(brute_force_safe_walks(g)) == expected, (seed, bases, k)
+    print(f"\n{pairs} pairs, {high} at nodes of degree >= 3: 0 divergences")
