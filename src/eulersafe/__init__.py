@@ -39,8 +39,8 @@ _SUBMODULE = {
     "component_split": "oracles",
     "count_arborescences": "oracles",
     "count_best": "oracles",
+    "count_by_states": "oracles",
     "count_circuits": "circuit",
-    "count_eulerian_circuits": "oracles",
     "edge_list_text": "generator",
     "enumerate_eulerian_circuits": "oracles",
     "find_eulerian_circuit": "circuit",

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
-verdict (not Eulerian, not unique, oracle mismatch, enumeration cap hit),
-2 for usage, I/O, or parse errors (a label that stdout cannot encode is
-an I/O error), for a count or an oracle comparison
-refused by its size bounds (see ``circuit.MAX_BLOCK_NODES`` and
-``circuit.MAX_COUNT_DIGITS``), and for running out of memory.
+verdict (not Eulerian, not unique, oracle mismatch), 2 for usage, I/O, or
+parse errors (a label that stdout cannot encode is an I/O error), for a
+count or an oracle comparison refused by its size bounds (see
+``circuit.MAX_BLOCK_NODES``, ``circuit.MAX_COUNT_DIGITS`` and
+``oracles.MAX_STATE_WORK``), and for running out of memory.
 """
 from __future__ import annotations
 
@@ -163,17 +163,10 @@ def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> 
 def cmd_count(args) -> int:
     g = _load_graph(args.path)
     if args.method == "best":
-        from .circuit import count_circuits
-
-        _print_exact(count_circuits(g))
-        return 0
-    from .oracles import count_eulerian_circuits
-
-    count, capped = count_eulerian_circuits(g, cap=args.cap)
-    if capped:
-        print(f">= {count}")
-        return 1
-    print(count)
+        from .circuit import count_circuits as count
+    else:
+        from .oracles import count_by_states as count
+    _print_exact(count(g))
     return 0
 
 
@@ -198,35 +191,21 @@ def cmd_oracle_compare(args) -> int:
     from .circuit import count_circuits
 
     g = _load_graph(args.path)
-    # A raw multigraph has far more circuits per edge than a simple graph
-    # (one node with k loops has (k - 1)!), so the cap counts the edges of
-    # the normalized graph, where each loop and parallel copy counts twice.
-    # The raw graph has the same circuits and a search tree no larger.
-    # Normalization would split each rewritten edge in two, so the count
-    # needs no normalized graph. Every oracle below runs on the raw graph.
-    normalized_edges = g.num_edges + len(oracles._rewritten_edges(g))
-    if normalized_edges > args.max_edges:
-        print(
-            f"skipped: enumeration infeasible (|E|={normalized_edges} after normalization "
-            f"> {args.max_edges})"
-        )
-        return 0
+    # The two bounded oracles refuse first, before any other oracle runs.
     oracles.require_best_size(g)
+    states = oracles.count_by_states(g)
 
     failures = []
-    enumerated, _ = oracles.count_eulerian_circuits(g)
     best = oracles.count_best(g)
     blocks = count_circuits(g)
     unique = safety.has_unique_eulerian_circuit(g)
-    if not blocks == best.epsilon == enumerated:
+    if not blocks == best.epsilon == states:
         failures.append(
             f"circuit count: block factorization gives {blocks}, determinant formula "
-            f"gives {best.epsilon}, enumeration gives {enumerated}"
+            f"gives {best.epsilon}, state count gives {states}"
         )
-    if unique != (enumerated == 1):
-        failures.append(
-            f"uniqueness: linear-time verdict {unique}, enumeration count {enumerated}"
-        )
+    if unique != (states == 1):
+        failures.append(f"uniqueness: linear-time verdict {unique}, state count {states}")
     report = safety.maximal_safe_walks(g)
     brute = oracles.brute_force_safe_walks(g)
     if _walk_multiset(report) != _walk_multiset(brute):
@@ -293,17 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count Eulerian circuits (rotation classes)")
     p.add_argument("path")
     p.add_argument("--method", choices=("best", "enumerate"), default="best")
-    p.add_argument("--cap", type=int, default=1_000_000)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser(
         "oracle-compare", help="cross-check the linear-time results against oracles"
     )
     p.add_argument("path")
-    p.add_argument(
-        "--max-edges", type=int, default=14,
-        help="skip graphs with more edges after normalization (default 14)",
-    )
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("gen", help="emit a random Eulerian multigraph edge list")

@@ -1,14 +1,14 @@
 """Ground-truth generators for the linear-time algorithms.
 
 Each reaches its answer by a route other than the linear-time pipeline it
-cross-checks: exhaustive circuit enumeration, arborescence counting via
-exact integer determinants, safe walks straight from the definition by
-transition splitting, component splits by plain traversal, and the
-classic cycle-intersection-graph uniqueness test. Two routines are shared
-with the pipeline: the oracles that take an Eulerian graph start with its
-Euler check, :func:`~eulersafe.graph.require_eulerian`, and the dense
-:func:`count_best` borrows the Bareiss determinant from the block-factored
-production counter.
+cross-checks: exhaustive circuit enumeration and counting over trail
+states, arborescence counting via exact integer determinants, safe walks
+straight from the definition by transition splitting, component splits by
+plain traversal, and the classic cycle-intersection-graph uniqueness test.
+Two routines are shared with the pipeline: the oracles that take an
+Eulerian graph start with its Euler check,
+:func:`~eulersafe.graph.require_eulerian`, and the dense :func:`count_best`
+borrows the Bareiss determinant from the block-factored production counter.
 
 Every oracle takes a multigraph as it is. :func:`normalize`, which rewrites
 self-loops and parallel edges into two-edge paths, feeds none of them; it
@@ -23,6 +23,14 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
 from .graph import Circuit, ContractError, Graph, require_eulerian
 from .safety import SafeWalkReport
+
+# Bound on the work of count_by_states, in units of one edge visited by a
+# Fleury test: a new state is charged |E| units per out-edge of its end
+# node, which also pays for its |E|-bit key, plus 64 for its memo entry.
+# The slowest inputs tried reached it in 13 to 24 s and about 210 MB, and
+# rings of more than about 23,000 edges are refused (Python 3.11, 2-core
+# x86-64 host).
+MAX_STATE_WORK = 2**29
 
 
 class EnumerationResult(NamedTuple):
@@ -180,27 +188,19 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     return Graph(edges), mapping
 
 
-def _circuits(g: Graph) -> Iterator[list[int]]:
-    """Yield every Eulerian circuit of ``g``, one per rotation class,
-    anchored at edge id 0.
-
-    Anchoring is valid because every Eulerian circuit uses edge 0 exactly
-    once. Each circuit is the search's live edge-id list: a consumer must
-    copy it to keep it, and may stop pulling at any point.
-
-    The search backtracks over unused out-edges in CSR order. A step takes
-    the last unused out-edge of its node, or another one whose head still
-    reaches its tail over the unused edges (Fleury's rule). In a balanced
-    graph that is exactly the condition for the trail to extend to a
-    circuit, so every branch ends in one: a step costs at most one O(|E|)
-    search per out-edge of its node, and pulling k circuits takes at most
-    k * |E| steps. The search keeps an explicit stack, so circuit length is
-    not limited by the interpreter's recursion limit. Raises
-    :class:`ContractError` if ``g`` is not Eulerian.
+def _fleury(g: Graph):
+    """What both circuit searches share: ``heads`` as a list, and
+    ``steps(v)``, which yields in CSR order the out-edges of ``v`` that a
+    trail from edge 0 may take next. Those are the last unused one, or
+    another whose head still reaches its tail over the unused edges
+    (Fleury's rule); in a balanced graph that is exactly the condition for
+    the trail to extend to a circuit. Edge 0 starts out taken, and each
+    yielded edge stays taken until its generator is resumed, so a search
+    that keeps one generator per trail edge backtracks by resuming them.
+    Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
     require_eulerian(g)
-    m = g.num_edges
-    # Lists rather than the graph's arrays: the loops below index them
+    # Lists rather than the graph's arrays: the searches index them
     # millions of times on small graphs, and a list index is cheaper.
     tails = list(g.tails)
     heads = list(g.heads)
@@ -209,9 +209,11 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
     out = list(g.eid)
     n = g.num_nodes
     incidences = [list(zip(out[a:b], g.nbr[a:b])) for a, b in zip(off, off[1:])]
-    used = bytearray(m)
+    used = bytearray(g.num_edges)
     # left[v]: unused out-edges at v.
     left = [end - start for start, end in zip(off, out_end)]
+    used[0] = 1
+    left[tails[0]] -= 1
 
     def extendable(e: int) -> bool:
         """Once ``e`` is taken too, does its head still reach its tail over
@@ -238,41 +240,50 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
         finally:
             used[e] = 0
 
-    used[0] = 1
-    left[tails[0]] -= 1
-    path = [0]
-    # cursor[i]: next CSR entry to try among the out-edges of heads[path[i]].
-    cursor = [off[heads[0]]]
-    while path:
-        if len(path) == m:
-            yield path
-        v = heads[path[-1]]
-        for i in range(cursor[-1], out_end[v]):
-            e = out[i]
-            # While the trail extends to a circuit, a lone unused out-edge
-            # is its next step and needs no test.
+    def steps(v: int) -> Iterator[int]:
+        # While the trail extends to a circuit, a lone unused out-edge is
+        # its next step and needs no test.
+        for e in out[off[v] : out_end[v]]:
             if not used[e] and (left[v] == 1 or extendable(e)):
-                cursor[-1] = i + 1
                 used[e] = 1
                 left[v] -= 1
-                path.append(e)
-                cursor.append(off[heads[e]])
-                break
+                yield e
+                used[e] = 0
+                left[v] += 1
+
+    return heads, steps
+
+
+def _circuits(g: Graph) -> Iterator[list[int]]:
+    """Yield every Eulerian circuit of ``g``, one per rotation class,
+    anchored at edge id 0.
+
+    Anchoring is valid because every Eulerian circuit uses edge 0 exactly
+    once. Each circuit is the search's live edge-id list: a consumer must
+    copy it to keep it, and may stop pulling at any point.
+
+    The search backtracks over the steps of :func:`_fleury`, so every
+    branch ends in a circuit: pulling k circuits takes at most k * |E|
+    steps, each of at most one O(|E|) test per out-edge of its node. The
+    stack is explicit, so circuit length is not limited by the
+    interpreter's recursion limit. Raises :class:`ContractError` if ``g``
+    is not Eulerian.
+    """
+    heads, steps = _fleury(g)
+    m = len(heads)
+    path = [0]
+    # pending[i]: the steps after path[i] not taken yet.
+    pending = [steps(heads[0])]
+    while pending:
+        if len(path) == m:
+            yield path
+        for e in pending[-1]:
+            path.append(e)
+            pending.append(steps(heads[e]))
+            break
         else:
-            cursor.pop()
-            e = path.pop()
-            used[e] = 0
-            left[tails[e]] += 1
-
-
-def _capped(g: Graph, cap: Optional[int]) -> Iterator[list[int]]:
-    """The circuits of :func:`_circuits`, at most ``cap + 1`` of them: a
-    consumer that reaches circuit ``cap + 1`` knows the cap overflowed.
-    ``cap=None`` takes them all. Raises :class:`ContractError` for a
-    negative cap."""
-    if cap is not None and cap < 0:
-        raise ContractError(f"circuit cap must be at least 0, got {cap}")
-    return islice(_circuits(g), None if cap is None else cap + 1)
+            pending.pop()
+            path.pop()
 
 
 def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> EnumerationResult:
@@ -282,17 +293,58 @@ def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> Enumerat
     flag is set if more would have followed. A negative ``cap`` raises
     :class:`ContractError`.
     """
-    found = [Circuit(tuple(path)) for path in _capped(g, cap)]
+    if cap is not None and cap < 0:
+        raise ContractError(f"circuit cap must be at least 0, got {cap}")
+    circuits = islice(_circuits(g), None if cap is None else cap + 1)
+    found = [Circuit(tuple(path)) for path in circuits]
     overflow = cap is not None and len(found) > cap
     return EnumerationResult(circuits=tuple(found[:cap]), overflow=overflow)
 
 
-def count_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> tuple[int, bool]:
-    """Count rotation classes by the same backtracking, without storing them."""
-    count = sum(1 for _ in _capped(g, cap))
-    if cap is not None and count > cap:
-        return cap, True
-    return count, False
+def count_by_states(g: Graph) -> int:
+    """Count the Eulerian circuits, one per rotation class, listing none.
+
+    The set of edges that a trail from edge 0 has used fixes where the
+    trail ends, so the number of ways to finish it is memoized on that set,
+    an |E|-bit integer: the subset dynamic programme of Bellman and of Held
+    and Karp (1962). The search takes the steps of :func:`_circuits`, so
+    every state it keeps finishes in a circuit. Raises
+    :class:`ContractError` once its work passes :data:`MAX_STATE_WORK`,
+    and if ``g`` is not Eulerian.
+    """
+    heads, steps = _fleury(g)
+    m = len(heads)
+    budget = MAX_STATE_WORK
+    # ways[s]: the ways found so far to finish the trail whose edge set is
+    # s, all of them once the search has left s. The empty trail comes
+    # first, and its one step is edge 0, which _fleury has taken.
+    ways = {0: 0}
+    state = 0
+    path: list[int] = []
+    pending = [iter((0,))]
+    while pending:
+        for e in pending[-1]:
+            key = state | 1 << e
+            if key in ways:
+                ways[state] += ways[key]
+                continue
+            # A new state: charge it before any of its steps is tested.
+            v = heads[e]
+            budget -= (g.out_end[v] - g.off[v]) * m + 64
+            if budget < 0:
+                raise ContractError(f"state count refused: more than {MAX_STATE_WORK} units of work")
+            path.append(e)
+            pending.append(steps(v))
+            ways[key] = int(len(path) == m)
+            state = key
+            break
+        else:
+            pending.pop()
+            if path:
+                done = ways[state]
+                state ^= 1 << path.pop()
+                ways[state] += done
+    return ways[0]
 
 
 def count_arborescences(g: Graph, root: str) -> int:

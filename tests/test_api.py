@@ -1,6 +1,7 @@
 """The benchmark's per-layer trace and pair script find every public name
 they call, so no per-layer metric goes absent when the API is pruned, and
-README names every public name."""
+README names every public name and every command-line option."""
+import argparse
 import ast
 import re
 import sys
@@ -40,4 +41,20 @@ def test_pair_script_names_are_exported():
 def test_readme_names_every_public_name():
     readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
     missing = [name for name in eulersafe.__all__ if not re.search(rf"\b{name}\b", readme)]
+    assert missing == []
+
+
+def test_readme_names_every_cli_option():
+    readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for command in commands.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert options
+    missing = sorted(o for o in options if not re.search(rf"{o}\b", readme))
     assert missing == []

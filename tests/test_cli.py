@@ -370,30 +370,6 @@ class TestCount:
         )
         assert capsys.readouterr().out.strip() == "3"
 
-    def test_cap_hit(self, graph_file, capsys):
-        assert (
-            cli.main(
-                [
-                    "count",
-                    graph_file(BIDIRECTED),
-                    "--method",
-                    "enumerate",
-                    "--cap",
-                    "2",
-                ]
-            )
-            == 1
-        )
-        assert capsys.readouterr().out.strip() == ">= 2"
-
-    @pytest.mark.parametrize("cap", ["-1", "-2"])
-    def test_negative_cap_refused(self, graph_file, capsys, cap):
-        argv = ["count", graph_file(BIDIRECTED), "--method", "enumerate", "--cap", cap]
-        assert cli.main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: circuit cap must be at least 0, got {cap}\n"
-
     def test_multigraph_counted_after_normalization(self, graph_file, capsys):
         assert cli.main(["count", graph_file(MULTI)]) == 0
         count = int(capsys.readouterr().out)
@@ -408,15 +384,6 @@ class TestOracleCompare:
     def test_pass_on_multigraph(self, graph_file, capsys):
         assert cli.main(["oracle-compare", graph_file(MULTI)]) == 0
         assert capsys.readouterr().out.strip() == "PASS"
-
-    def test_skip_when_too_large(self, graph_file, capsys):
-        assert (
-            cli.main(
-                ["oracle-compare", graph_file(FIGURE_EIGHT), "--max-edges", "5"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out.startswith("skipped: enumeration infeasible")
 
     def test_counter_fault_is_caught(self, graph_file, capsys, monkeypatch):
         monkeypatch.setattr("eulersafe.circuit.count_circuits", lambda g: 4)
@@ -439,23 +406,38 @@ class TestOracleCompare:
         assert out.startswith("FAIL:")
         assert "safe walks" in out
 
-    @pytest.mark.parametrize(
-        "text, max_edges, normalized",
-        [(FIGURE_EIGHT, "5", 6), ("a a\n" * 14, "14", 28), (MULTI, "5", 6)],
-        ids=["simple", "loops", "parallel"],
-    )
-    def test_skip_before_normalizing(
-        self, graph_file, capsys, monkeypatch, text, max_edges, normalized
-    ):
-        def refuse(g):
-            raise AssertionError("normalize ran on a graph over the cap")
+    def test_shared_determinant_fault_is_caught(self, graph_file, capsys, monkeypatch):
+        # Both determinant-based counters share Bareiss: only the state
+        # count can see it go wrong. Bidirected K5 has 20 edges.
+        from eulersafe import circuit
 
-        monkeypatch.setattr("eulersafe.oracles.normalize", refuse)
-        assert cli.main(["oracle-compare", graph_file(text), "--max-edges", max_edges]) == 0
-        assert capsys.readouterr().out == (
-            f"skipped: enumeration infeasible (|E|={normalized} after normalization "
-            f"> {max_edges})\n"
-        )
+        bareiss = circuit._bareiss_determinant
+
+        def off_by_one(matrix):
+            return bareiss(matrix) + (len(matrix) >= 2)
+
+        monkeypatch.setattr("eulersafe.circuit._bareiss_determinant", off_by_one)
+        monkeypatch.setattr("eulersafe.oracles._bareiss_determinant", off_by_one)
+        text = "".join(f"k{i} k{j}\n" for i in range(5) for j in range(5) if i != j)
+        assert cli.main(["oracle-compare", graph_file(text)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: circuit count")
+
+    @pytest.mark.parametrize(
+        "text", [FIGURE_EIGHT, "a a\n" * 14, MULTI], ids=["simple", "loops", "parallel"]
+    )
+    def test_refused_before_the_other_oracles(self, graph_file, capsys, monkeypatch, text):
+        def refuse(g):
+            raise AssertionError("an oracle ran past the state count's refusal")
+
+        monkeypatch.setattr("eulersafe.oracles.MAX_STATE_WORK", 100)
+        for name in ("count_best", "brute_force_safe_walks", "pevzner_intersection_graph"):
+            monkeypatch.setattr(f"eulersafe.oracles.{name}", refuse)
+        monkeypatch.setattr("eulersafe.circuit.count_circuits", refuse)
+        assert cli.main(["oracle-compare", graph_file(text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: state count refused: ")
+        assert captured.err.count("\n") == 1
 
     def test_oracles_run_on_the_raw_graph(self, graph_file, capsys, monkeypatch):
         def refuse(g):
@@ -468,7 +450,7 @@ class TestOracleCompare:
             text = "".join(f"{t} {h}\n" for t, h in edges)
             assert cli.main(["oracle-compare", graph_file(text)]) == 0, edges
             out = capsys.readouterr().out
-            assert out == "PASS\n" or out.startswith("skipped: "), (edges, out)
+            assert out == "PASS\n", (edges, out)
             multigraph = len(set(edges)) < len(edges) or any(t == h for t, h in edges)
             outcomes[out[:4], multigraph] += 1
         assert outcomes["PASS", True] > 50
@@ -652,16 +634,39 @@ class TestLargeAndMalformedInput:
         assert result.stderr.startswith("error: exact count refused")
         assert result.stderr.count("\n") == 1
 
-    def test_oracle_compare_many_loops_is_skipped(self, graph_file):
-        # 14 raw edges but 13! circuits; normalized, the loops count twice.
-        result = run_cli("oracle-compare", graph_file("a a\n" * 14))
-        assert result.returncode == 0
-        assert result.stdout == "skipped: enumeration infeasible (|E|=28 after normalization > 14)\n"
+    def test_many_loops_are_counted_and_compared(self, graph_file):
+        # 14 edges but 13! circuits: the state count memoizes 2**13 states.
+        path = graph_file("a a\n" * 14)
+        result = run_cli("count", path, "--method", "enumerate")
+        assert (result.returncode, result.stdout) == (0, f"{factorial(13)}\n")
+        result = run_cli("oracle-compare", path)
+        assert (result.returncode, result.stdout) == (0, "PASS\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a a\n" * 100_000,
+            "".join(f"r{i} r{(i + 1) % 40_000}\n" for i in range(40_000)),
+            "a b\nb a\n" * 50_000,
+        ],
+        ids=["loops", "ring", "antiparallel"],
+    )
+    @pytest.mark.parametrize(
+        "args", [["count", "--method", "enumerate"], ["oracle-compare"]], ids=["count", "compare"]
+    )
+    def test_state_count_over_its_bound_is_refused(self, graph_file, text, args):
+        result = run_cli(args[0], graph_file(text), *args[1:])
+        assert (result.returncode, result.stdout) == (2, "")
+        # oracle-compare refuses the ring for its determinant before counting.
+        assert result.stderr.startswith(
+            ("error: state count refused: ", "error: oracle comparison refused: ")
+        )
+        assert result.stderr.count("\n") == 1
 
     def test_oracle_compare_long_ring_is_refused(self, graph_file):
         # The dense BEST oracle would need a 1499-row determinant.
         text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
-        result = run_cli("oracle-compare", graph_file(text), "--max-edges", "5000")
+        result = run_cli("oracle-compare", graph_file(text))
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: oracle comparison refused")
         assert result.stderr.count("\n") == 1

@@ -1,4 +1,4 @@
-"""The three ground-truth oracles, checked against each other and by hand."""
+"""The ground-truth oracles, checked against each other and by hand."""
 import random
 import sys
 import time
@@ -16,16 +16,17 @@ from eulersafe import (
     has_unique_eulerian_circuit,
     verify_circuit,
 )
+from eulersafe import oracles
 from eulersafe.oracles import (
     _bareiss_determinant,
     brute_force_safe_walks,
     count_arborescences,
     count_best,
-    count_eulerian_circuits,
+    count_by_states,
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
-from test_safety import raw_multigraphs
+from test_safety import raw_multigraphs, ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import make_cactus  # noqa: E402
@@ -74,10 +75,16 @@ class TestEnumeration:
         assert exact.count == 3
         assert not exact.overflow
 
-    def test_count_without_storing(self, bidirected_triangle):
-        assert count_eulerian_circuits(bidirected_triangle) == (3, False)
-        assert count_eulerian_circuits(bidirected_triangle, cap=1) == (1, True)
-        assert count_eulerian_circuits(bidirected_triangle, cap=3) == (3, False)
+    def test_count_without_storing(self, bidirected_triangle, three_triangles):
+        assert count_by_states(bidirected_triangle) == 3
+        assert count_by_states(three_triangles) == 2
+
+    def test_count_matches_the_state_count(self, corpus_4):
+        graphs = [*corpus_4, *feasible_raw_multigraphs()]
+        for g in graphs:
+            assert enumerate_eulerian_circuits(g).count == count_by_states(g), list(
+                g.edge_pairs()
+            )
 
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError):
@@ -90,15 +97,15 @@ class TestEnumeration:
         g = Graph(make_cactus(random.Random(7), 140, 2, 12, True).edges)
         assert g.num_edges == 165
         start = time.perf_counter()
-        result = count_eulerian_circuits(g)
+        result = enumerate_eulerian_circuits(g)
         elapsed = time.perf_counter() - start
-        assert result == (count_circuits(g), False) == (16, False)
+        assert result.count == count_circuits(g) == 16
         assert elapsed < 1.0
 
 
-# (graph, cap, enumeration (count, overflow), count_eulerian_circuits).
-# Each cap stops the search at circuit cap + 1, so cap 0 overflows even on
-# a unique circuit.
+# (graph, cap, enumeration (count, overflow), the same pair as the state
+# count implies it). Each cap stops the search at circuit cap + 1, so cap 0
+# overflows even on a unique circuit.
 CAP_TABLE = [
     ("triangle", None, (1, False), (1, False)),
     ("triangle", 0, (0, True), (0, True)),
@@ -124,9 +131,13 @@ class TestCaps:
         g = request.getfixturevalue(name)
         result = enumerate_eulerian_circuits(g, cap=cap)
         assert (result.count, result.overflow) == enumerated
-        assert count_eulerian_circuits(g, cap=cap) == counted
+        exact = count_by_states(g)
+        if cap is not None and exact > cap:
+            assert (cap, True) == counted
+        else:
+            assert (exact, False) == counted
 
-    @pytest.mark.parametrize("oracle", [enumerate_eulerian_circuits, count_eulerian_circuits])
+    @pytest.mark.parametrize("oracle", [enumerate_eulerian_circuits])
     @pytest.mark.parametrize("cap", [-1, -2])
     def test_negative_cap_refused(self, bidirected_triangle, oracle, cap):
         with pytest.raises(ContractError, match="cap must be at least 0"):
@@ -226,15 +237,13 @@ class TestCircuitCounting:
 
     def test_matches_enumeration_on_corpus(self, corpus_4):
         for g in corpus_4:
-            count, capped = count_eulerian_circuits(g)
-            assert not capped
-            assert count_best(g).epsilon == count, list(g.edge_pairs())
+            assert count_best(g).epsilon == count_by_states(g), list(g.edge_pairs())
 
     def test_matches_counters_on_raw_multigraphs(self):
         # The BEST theorem holds on multigraphs as they are: no rewrite.
-        for g in feasible_raw_multigraphs():
+        for g in raw_multigraphs(1000, seed=99):
             report = count_best(g)
-            assert report.epsilon == count_circuits(g) == count_eulerian_circuits(g)[0], list(
+            assert report.epsilon == count_circuits(g) == count_by_states(g), list(
                 g.edge_pairs()
             )
 
@@ -250,6 +259,33 @@ class TestCircuitCounting:
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError, match="not Eulerian"):
             count_best(Graph([("a", "b")]))
+
+
+class TestStateCount:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 14])
+    def test_loops_at_one_node(self, d):
+        assert count_by_states(Graph([("a", "a")] * d)) == factorial(d - 1)
+
+    def test_long_ring(self):
+        # Deeper than the interpreter's recursion limit: the stack is explicit.
+        assert count_by_states(Graph(ring(1500))) == 1
+
+    def test_pruned_cactus(self):
+        # Without Fleury's rule the memo reaches millions of states here.
+        g = Graph(make_cactus(random.Random(7), 140, 2, 12, True).edges)
+        start = time.perf_counter()
+        assert count_by_states(g) == 16
+        assert time.perf_counter() - start < 1.0
+
+    def test_refused_past_the_bound(self, monkeypatch, figure_eight):
+        monkeypatch.setattr(oracles, "MAX_STATE_WORK", 100)
+        message = "^state count refused: more than 100 units of work$"
+        with pytest.raises(ContractError, match=message):
+            count_by_states(figure_eight)
+
+    def test_rejects_non_eulerian(self):
+        with pytest.raises(ContractError, match="not Eulerian"):
+            count_by_states(Graph([("a", "b")]))
 
 
 class TestBruteForceSafeWalks:
@@ -313,7 +349,7 @@ class TestIntersectionGraph:
             ), list(g.edge_pairs())
 
     def test_tree_verdict_on_raw_multigraphs(self):
-        for g in feasible_raw_multigraphs():
+        for g in raw_multigraphs(1000, seed=99):
             assert pevzner_intersection_graph(g).is_tree == has_unique_eulerian_circuit(
                 g
             ), list(g.edge_pairs())
