@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, one route per answer: ``count`` is the
+block-factored count, and the oracles run only under ``oracle-compare``.
 
 Exit codes: 0 for an affirmative verdict or success, 1 for a negative
 verdict (not Eulerian, not unique, oracle mismatch), 2 for usage, I/O, or
@@ -161,12 +162,9 @@ def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> 
 
 
 def cmd_count(args) -> int:
-    g = _load_graph(args.path)
-    if args.method == "best":
-        from .circuit import count_circuits as count
-    else:
-        from .oracles import count_by_states as count
-    _print_exact(count(g))
+    from .circuit import count_circuits
+
+    _print_exact(count_circuits(_load_graph(args.path)))
     return 0
 
 
@@ -221,7 +219,7 @@ def cmd_oracle_compare(args) -> int:
             f"linear-time verdict {unique}"
         )
     if failures:
-        print(f"FAIL: {failures[0]}")
+        print("\n".join(f"FAIL: {failure}" for failure in failures))
         return 1
     print("PASS")
     return 0
@@ -240,12 +238,7 @@ def cmd_gen(args) -> int:
     from . import generator
 
     edges = generator.random_eulerian_edges(args.nodes, args.cycles, seed=args.seed)
-    text = generator.edge_list_text(edges)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(generator.edge_list_text(edges))
     return 0
 
 
@@ -271,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count Eulerian circuits (rotation classes)")
     p.add_argument("path")
-    p.add_argument("--method", choices=("best", "enumerate"), default="best")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser(
@@ -284,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nodes", type=int)
     p.add_argument("cycles", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
     return parser
 

@@ -1,6 +1,6 @@
 """The benchmark's per-layer trace and pair script find every public name
 they call, so no per-layer metric goes absent when the API is pruned, and
-README names every public name and every command-line option."""
+README names every public name and exactly the command-line options."""
 import argparse
 import ast
 import re
@@ -58,3 +58,7 @@ def test_readme_names_every_cli_option():
     assert options
     missing = sorted(o for o in options if not re.search(rf"{o}\b", readme))
     assert missing == []
+    # And README shows no option that the parser lacks; pip's is the one
+    # other program's option it names.
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", readme)) - {"--no-build-isolation"}
+    assert sorted(named - options) == []

@@ -25,6 +25,7 @@ from eulersafe import (
     walk_nodes,
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
+from eulersafe.generator import edge_list_text, random_eulerian_edges
 from eulersafe.oracles import pevzner_intersection_graph
 from eulersafe.safety import WALK_CHUNK, SafeWalkReport
 from test_safety import cycling_successors, raw_multigraphs, ring
@@ -364,16 +365,16 @@ class TestCount:
         assert cli.main(["count", graph_file(BIDIRECTED)]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
-    def test_enumerate_method(self, graph_file, capsys):
-        assert (
-            cli.main(["count", graph_file(BIDIRECTED), "--method", "enumerate"]) == 0
-        )
-        assert capsys.readouterr().out.strip() == "3"
-
     def test_multigraph_counted_after_normalization(self, graph_file, capsys):
         assert cli.main(["count", graph_file(MULTI)]) == 0
         count = int(capsys.readouterr().out)
         assert count >= 2
+
+
+def flipped_tree_test(g):
+    """The cycle-intersection verdict on ``g``, its tree test flipped."""
+    verdict = pevzner_intersection_graph(g)
+    return verdict._replace(is_tree=not verdict.is_tree)
 
 
 class TestOracleCompare:
@@ -390,6 +391,19 @@ class TestOracleCompare:
         assert cli.main(["oracle-compare", graph_file(BIDIRECTED)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL: circuit count: block factorization gives 4")
+
+    def test_every_fault_is_reported(self, graph_file, capsys, monkeypatch):
+        # A wrong block count and a flipped tree test: one line each, in
+        # the order the checks run.
+        monkeypatch.setattr("eulersafe.circuit.count_circuits", lambda g: 4)
+        monkeypatch.setattr("eulersafe.oracles.pevzner_intersection_graph", flipped_tree_test)
+        assert cli.main(["oracle-compare", graph_file(BIDIRECTED)]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL: circuit count: block factorization gives 4, determinant formula "
+            "gives 3, state count gives 3\n"
+            "FAIL: uniqueness: cycle-intersection tree test gives True, "
+            "linear-time verdict False\n"
+        )
 
     def test_fault_injection_is_caught(self, graph_file, capsys, monkeypatch):
         # Break the pipeline on purpose; the oracles must notice.
@@ -457,11 +471,7 @@ class TestOracleCompare:
 
     def test_pevzner_fault_is_caught(self, graph_file, capsys, monkeypatch):
         # A cycle-intersection verdict that disagrees with uniqueness fails.
-        def flipped(g):
-            verdict = pevzner_intersection_graph(g)
-            return verdict._replace(is_tree=not verdict.is_tree)
-
-        monkeypatch.setattr("eulersafe.oracles.pevzner_intersection_graph", flipped)
+        monkeypatch.setattr("eulersafe.oracles.pevzner_intersection_graph", flipped_tree_test)
         assert cli.main(["oracle-compare", graph_file(FIGURE_EIGHT)]) == 1
         out = capsys.readouterr().out
         assert out.startswith(
@@ -470,10 +480,10 @@ class TestOracleCompare:
         )
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m eulersafe.cli`` in a child limited to 60 s and 2 GiB of
     address space, so a runaway allocation fails in the child, not the
-    machine."""
+    machine. Its stdout goes to ``stdout``, captured by default."""
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -481,7 +491,8 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-m", "eulersafe.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         timeout=60,
         env=env,
@@ -570,7 +581,8 @@ class TestLargeAndMalformedInput:
         # 999,863 edges on 2000 nodes of degree >= 3: one block far above
         # the determinant bound, refused before any factorial.
         path = str(tmp_path / "dense.txt")
-        assert run_cli("gen", "2000", "1000", "--seed", "7", "-o", path).returncode == 0
+        with open(path, "w") as handle:
+            assert run_cli("gen", "2000", "1000", "--seed", "7", stdout=handle).returncode == 0
         result = run_cli("count", path)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: exact count refused")
@@ -582,11 +594,6 @@ class TestLargeAndMalformedInput:
         expected = exact_decimal(factorial(loops - 1))
         assert MAX_COUNT_DIGITS - 10 < len(expected) <= MAX_COUNT_DIGITS
         assert (result.returncode, result.stdout) == (0, f"{expected}\n")
-
-    def test_enumerate_long_ring(self, graph_file):
-        text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
-        result = run_cli("count", graph_file(text), "--method", "enumerate")
-        assert (result.returncode, result.stdout) == (0, "1\n")
 
     def test_runaway_chain_is_one_line(self, graph_file, capsys, monkeypatch):
         monkeypatch.setattr("eulersafe.safety._forced_successors", cycling_successors)
@@ -637,7 +644,7 @@ class TestLargeAndMalformedInput:
     def test_many_loops_are_counted_and_compared(self, graph_file):
         # 14 edges but 13! circuits: the state count memoizes 2**13 states.
         path = graph_file("a a\n" * 14)
-        result = run_cli("count", path, "--method", "enumerate")
+        result = run_cli("count", path)
         assert (result.returncode, result.stdout) == (0, f"{factorial(13)}\n")
         result = run_cli("oracle-compare", path)
         assert (result.returncode, result.stdout) == (0, "PASS\n")
@@ -651,11 +658,9 @@ class TestLargeAndMalformedInput:
         ],
         ids=["loops", "ring", "antiparallel"],
     )
-    @pytest.mark.parametrize(
-        "args", [["count", "--method", "enumerate"], ["oracle-compare"]], ids=["count", "compare"]
-    )
-    def test_state_count_over_its_bound_is_refused(self, graph_file, text, args):
-        result = run_cli(args[0], graph_file(text), *args[1:])
+    @pytest.mark.parametrize("command", ["oracle-compare"], ids=["compare"])
+    def test_state_count_over_its_bound_is_refused(self, graph_file, text, command):
+        result = run_cli(command, graph_file(text))
         assert (result.returncode, result.stdout) == (2, "")
         # oracle-compare refuses the ring for its determinant before counting.
         assert result.stderr.startswith(
@@ -996,12 +1001,10 @@ class TestGen:
             g = parse_edge_list(capsys.readouterr().out)
             assert is_eulerian(g)
 
-    def test_write_to_file(self, tmp_path, capsys):
-        out_path = tmp_path / "gen.txt"
-        assert cli.main(["gen", "4", "2", "--seed", "3", "-o", str(out_path)]) == 0
-        assert capsys.readouterr().out == ""
-        g = parse_edge_list(out_path.read_text())
-        assert is_eulerian(g)
+    def test_stdout_is_the_library_text(self, capsys):
+        assert cli.main(["gen", "4", "2", "--seed", "3"]) == 0
+        edges = random_eulerian_edges(4, 2, seed=3)
+        assert capsys.readouterr().out == edge_list_text(edges)
 
     def test_bad_parameters(self, capsys):
         assert cli.main(["gen", "1", "2"]) == 2
@@ -1025,3 +1028,18 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["count", "G", "--method", "enumerate"], ["gen", "4", "2", "-o", "G"]],
+        ids=["count-method", "gen-output"],
+    )
+    def test_removed_option_is_a_usage_error(self, tmp_path, args):
+        path = tmp_path / "graph.txt"
+        path.write_text(BIDIRECTED)
+        argv = [str(path) if arg == "G" else arg for arg in args]
+        result = run_cli(*argv)
+        assert (result.returncode, result.stdout) == (2, "")
+        usage, error = result.stderr.splitlines()
+        assert usage.startswith("usage: eulersafe ")
+        assert error == f"eulersafe: error: unrecognized arguments: {argv[-2]} {argv[-1]}"
+        assert path.read_text() == BIDIRECTED

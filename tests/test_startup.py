@@ -31,6 +31,8 @@ COMMANDS = {
     "safe": ["safe"],
     "safe-structured": ["safe", "--format", "structured"],
     "count": ["count"],
+    "oracle-compare": ["oracle-compare"],
+    "gen": ["gen", "4", "2"],
 }
 
 
@@ -55,11 +57,13 @@ def loaded_modules(args: list[str], probe: str = PROBE) -> set[str]:
 def test_command_loads_only_what_it_runs(command, tmp_path):
     path = tmp_path / "graph.txt"
     path.write_text(FIGURE_EIGHT)
-    loaded = loaded_modules([*COMMANDS[command], str(path)])
+    args = COMMANDS[command] if command == "gen" else [*COMMANDS[command], str(path)]
+    loaded = loaded_modules(args)
     assert {"eulersafe.cli", "eulersafe.graph"} <= loaded
-    never = {"dataclasses", "inspect", "eulersafe.oracles", "eulersafe.generator"}
-    assert sorted(never & loaded) == []
-    if command == "check":
+    assert sorted({"dataclasses", "inspect"} & loaded) == []
+    assert ("eulersafe.oracles" in loaded) == (command == "oracle-compare")
+    assert ("eulersafe.generator" in loaded) == (command == "gen")
+    if command in ("check", "gen"):
         assert sorted({"eulersafe.safety", "eulersafe.circuit"} & loaded) == []
     assert ("json" in loaded) == (command == "safe-structured")
 
