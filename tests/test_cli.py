@@ -16,6 +16,7 @@ import pytest
 
 import eulersafe
 from eulersafe import (
+    ContractError,
     ParseError,
     cli,
     graph,
@@ -26,7 +27,7 @@ from eulersafe import (
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
 from eulersafe.generator import edge_list_text, random_eulerian_edges
-from eulersafe.oracles import pevzner_intersection_graph
+from eulersafe.oracles import count_by_states, pevzner_intersection_graph
 from eulersafe.safety import WALK_CHUNK, SafeWalkReport
 from test_safety import cycling_successors, raw_multigraphs, ring
 
@@ -365,6 +366,11 @@ class TestCount:
         assert cli.main(["count", graph_file(BIDIRECTED)]) == 0
         assert capsys.readouterr().out.strip() == "3"
 
+    def test_enumerate_method(self, graph_file, capsys):
+        # The state count, reached through the library, agrees with count.
+        assert cli.main(["count", graph_file(BIDIRECTED)]) == 0
+        assert capsys.readouterr().out == f"{count_by_states(parse_edge_list(BIDIRECTED))}\n"
+
     def test_multigraph_counted_after_normalization(self, graph_file, capsys):
         assert cli.main(["count", graph_file(MULTI)]) == 0
         count = int(capsys.readouterr().out)
@@ -595,6 +601,13 @@ class TestLargeAndMalformedInput:
         assert MAX_COUNT_DIGITS - 10 < len(expected) <= MAX_COUNT_DIGITS
         assert (result.returncode, result.stdout) == (0, f"{expected}\n")
 
+    def test_enumerate_long_ring(self, graph_file):
+        # Deeper than the recursion limit: the state count and count agree.
+        text = "".join(f"r{i} r{(i + 1) % 1500}\n" for i in range(1500))
+        assert count_by_states(parse_edge_list(text)) == 1
+        result = run_cli("count", graph_file(text))
+        assert (result.returncode, result.stdout) == (0, "1\n")
+
     def test_runaway_chain_is_one_line(self, graph_file, capsys, monkeypatch):
         monkeypatch.setattr("eulersafe.safety._forced_successors", cycling_successors)
         assert cli.main(["safe", graph_file(FIGURE_EIGHT)]) == 2
@@ -658,9 +671,14 @@ class TestLargeAndMalformedInput:
         ],
         ids=["loops", "ring", "antiparallel"],
     )
-    @pytest.mark.parametrize("command", ["oracle-compare"], ids=["compare"])
-    def test_state_count_over_its_bound_is_refused(self, graph_file, text, command):
-        result = run_cli(command, graph_file(text))
+    @pytest.mark.parametrize("route", ["count", "compare"])
+    def test_state_count_over_its_bound_is_refused(self, graph_file, text, route):
+        if route == "count":
+            # The library state count refuses each input by its work bound.
+            with pytest.raises(ContractError, match="^state count refused: "):
+                count_by_states(parse_edge_list(text))
+            return
+        result = run_cli("oracle-compare", graph_file(text))
         assert (result.returncode, result.stdout) == (2, "")
         # oracle-compare refuses the ring for its determinant before counting.
         assert result.stderr.startswith(
