@@ -34,7 +34,6 @@ _SUBMODULE = {
     "SafetyEvidence": "safety",
     "articulation_points": "graph",
     "brute_force_safe_walks": "oracles",
-    "canonical_rotation": "circuit",
     "classify_nodes": "safety",
     "component_split": "oracles",
     "count_arborescences": "oracles",

@@ -251,9 +251,3 @@ def _bareiss_determinant(a: list[list[int]]) -> int:
         prev = pivot
     return sign * a[n - 1][n - 1]
 
-
-def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a circuit's edge sequence to start at its smallest edge id."""
-    edges = tuple(edges)
-    i = edges.index(min(edges))
-    return edges[i:] + edges[:i]

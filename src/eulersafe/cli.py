@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
 from .graph import Graph, GraphError, ParseError, _read_edge_list, is_eulerian
-
-if TYPE_CHECKING:
-    from .safety import SafeWalkReport
 
 
 def _load_graph(path: str) -> Graph:
@@ -204,14 +201,9 @@ def cmd_oracle_compare(args) -> int:
         )
     if unique != (states == 1):
         failures.append(f"uniqueness: linear-time verdict {unique}, state count {states}")
-    report = safety.maximal_safe_walks(g)
-    brute = oracles.brute_force_safe_walks(g)
-    if _walk_multiset(report) != _walk_multiset(brute):
+    # Both list the walks by first edge id, a unique circuit from edge 0.
+    if safety.maximal_safe_walks(g) != oracles.brute_force_safe_walks(g):
         failures.append("maximal safe walks differ from brute-force result")
-    if report.total_edge_length != g.num_edges:
-        failures.append(
-            f"conservation: walks cover {report.total_edge_length} of {g.num_edges} edges"
-        )
     intersection = oracles.pevzner_intersection_graph(g)
     if intersection.is_tree != unique:
         failures.append(
@@ -223,15 +215,6 @@ def cmd_oracle_compare(args) -> int:
         return 1
     print("PASS")
     return 0
-
-
-def _walk_multiset(report: SafeWalkReport):
-    from .circuit import canonical_rotation
-
-    walks = report.walks
-    if report.unique_circuit:
-        walks = tuple(canonical_rotation(w) for w in walks)
-    return sorted(walks)
 
 
 def cmd_gen(args) -> int:

@@ -4,11 +4,13 @@ Each reaches its answer by a route other than the linear-time pipeline it
 cross-checks: exhaustive circuit enumeration and counting over trail
 states, arborescence counting via exact integer determinants, safe walks
 straight from the definition by transition splitting, component splits by
-plain traversal, and the classic cycle-intersection-graph uniqueness test.
-Two routines are shared with the pipeline: the oracles that take an
-Eulerian graph start with its Euler check,
-:func:`~eulersafe.graph.require_eulerian`, and the dense :func:`count_best`
-borrows the Bareiss determinant from the block-factored production counter.
+union-find, and the classic cycle-intersection-graph uniqueness test.
+Their Euler check is their own: degrees counted from the edge lists and
+connectivity from the one union-find, :func:`_roots`, which also serves
+every other connectivity test here. The one routine shared with the
+pipeline is the Bareiss determinant, which the dense :func:`count_best`
+borrows from the block-factored production counter; the state count
+catches a fault in it.
 
 Every oracle takes a multigraph as it is. :func:`normalize`, which rewrites
 self-loops and parallel edges into two-edge paths, feeds none of them; it
@@ -16,12 +18,13 @@ remains for ``bench/`` until ROADMAP item 1.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, islice
 from math import factorial
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
-from .graph import Circuit, ContractError, Graph, require_eulerian
+from .graph import Circuit, ContractError, Graph
 from .safety import SafeWalkReport
 
 # Bound on the work of count_by_states, in units of one edge visited by a
@@ -188,6 +191,47 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     return Graph(edges), mapping
 
 
+def _roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The root of every id in ``range(n)`` once each pair is joined: two
+    ids share a root iff the pairs connect them. The one union-find behind
+    every connectivity test of the oracles."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(x) for x in range(n)]
+
+
+def _require_eulerian(g: Graph) -> None:
+    """Raise :class:`ContractError` unless ``g`` is Eulerian, with the
+    message and witness of the analysis pass in :mod:`eulersafe.graph`: the
+    first node in id order whose out-degree differs from its in-degree,
+    else the lowest-id node that :func:`_roots` does not join to node 0.
+    Degrees are counted from the edge lists, so no part of that pass runs."""
+    labels = g.labels
+    outs = Counter(g.tails)
+    ins = Counter(g.heads)
+    for v, label in enumerate(labels):
+        if outs[v] != ins[v]:
+            raise ContractError(
+                f"graph is not Eulerian: node '{label}' has out-degree {outs[v]} "
+                f"and in-degree {ins[v]}"
+            )
+    roots = _roots(len(labels), zip(g.tails, g.heads))
+    for v, label in enumerate(labels):
+        if roots[v] != roots[0]:
+            raise ContractError(
+                f"graph is not Eulerian: node '{label}' is not reachable from "
+                f"'{labels[0]}' ignoring directions"
+            )
+
+
 def _fleury(g: Graph):
     """What both circuit searches share: ``heads`` as a list, and
     ``steps(v)``, which yields in CSR order the out-edges of ``v`` that a
@@ -199,7 +243,7 @@ def _fleury(g: Graph):
     that keeps one generator per trail edge backtracks by resuming them.
     Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
-    require_eulerian(g)
+    _require_eulerian(g)
     # Lists rather than the graph's arrays: the searches index them
     # millions of times on small graphs, and a list index is cheaper.
     tails = list(g.tails)
@@ -398,7 +442,7 @@ def count_best(g: Graph) -> CountReport:
     node's one out-edge is in every arborescence) and adds a node of
     degree 1, whose factor is 0! = 1.
     """
-    require_eulerian(g)
+    _require_eulerian(g)
     root = g.labels[0]
     t = count_arborescences(g, root)
     product = 1
@@ -419,26 +463,16 @@ def _takes(g: Graph, e: int, f: int) -> bool:
     ``e`` to the head of ``f``. The spliced graph is still balanced, and
     its circuits are exactly the circuits of ``g`` that take ``f`` right
     after ``e``, the pair merged into the new edge. By Euler's theorem it
-    has one iff its edges are connected, which a union-find over its nodes
-    decides. An edge follows itself only when it is the whole graph.
+    has one iff its edges are connected, which :func:`_roots` decides. An
+    edge follows itself only when it is the whole graph.
     """
     if e == f:
         return g.num_edges == 1
-    parent = list(range(g.num_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tails = g.tails
     spliced = [(tails[e], g.heads[f])]
     spliced += (p for x, p in enumerate(zip(tails, g.heads)) if x != e and x != f)
-    for t, h in spliced:
-        parent[find(t)] = find(h)
-    root = find(tails[e])
-    return all(find(t) == root for t, _ in spliced)
+    roots = _roots(g.num_nodes, spliced)
+    return len({roots[t] for t, _ in spliced}) == 1
 
 
 def _possible_successors(g: Graph, e: int) -> list[int]:
@@ -463,24 +497,20 @@ def brute_force_safe_walks(g: Graph) -> SafeWalkReport:
     exactly when each of its consecutive pairs does, so the safe walks are
     the maximal circular runs of any one circuit whose internal junctions
     are all safe: the first circuit of :func:`_circuits`, cut after every
-    edge with two possible successors. If no edge has, the circuit is
-    unique and reported whole. An edge into a node of degree d takes at
-    most d connectivity tests of O(|E|) each. Raises :class:`ContractError`
-    if ``g`` is not Eulerian.
+    edge with two possible successors, and listed by first edge id. If no
+    edge has, the circuit is unique and reported whole, from edge id 0. An
+    edge into a node of degree d takes at most d connectivity tests of
+    O(|E|) each. Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
     base = tuple(next(_circuits(g)))
     m = len(base)
     cut_after = [i for i in range(m) if len(_possible_successors(g, base[i])) > 1]
     if not cut_after:
         return SafeWalkReport(walks=(base,), unique_circuit=True, total_edge_length=m)
-    walks: list[tuple[int, ...]] = []
-    for idx, a in enumerate(cut_after):
-        b = cut_after[idx + 1] if idx + 1 < len(cut_after) else cut_after[0] + m
-        s = a + 1
-        e = b + 1
-        walks.append(base[s:e] if e <= m else base[s:] + base[: e - m])
-    total = sum(len(w) for w in walks)
-    return SafeWalkReport(walks=tuple(walks), unique_circuit=False, total_edge_length=total)
+    twice = base + base
+    ends = cut_after[1:] + [cut_after[0] + m]
+    walks = sorted(twice[a + 1 : b + 1] for a, b in zip(cut_after, ends))
+    return SafeWalkReport(walks=tuple(walks), unique_circuit=False, total_edge_length=m)
 
 
 class ComponentSplit(NamedTuple):
@@ -495,35 +525,18 @@ def component_split(g: Graph, v: str) -> ComponentSplit:
     """Label every node of the underlying undirected graph minus ``v`` by
     its connected component, numbered in order of their lowest node id.
 
-    A plain traversal straight from the definition, O(|E|) per call: the
-    reference for the cut flags and pair sides that the analysis pass
-    gives in one DFS.
+    Union-find over the edges that avoid ``v`` (:func:`_roots`), O(|E|)
+    per call and straight from the definition: the reference for the cut
+    flags and pair sides that the analysis pass reads off one DFS.
     """
-    root = g.index.get(v)
-    if root is None:
+    r = g.index.get(v)
+    if r is None:
         raise ContractError(f"node '{v}' is not in the graph")
-    n = g.num_nodes
-    off = g.off
-    nbr = g.nbr
-    comp = [-1] * n
-    comp[root] = -2
-    count = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        comp[s] = count
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for i in range(off[x], off[x + 1]):
-                w = nbr[i]
-                if comp[w] == -1:
-                    comp[w] = count
-                    stack.append(w)
-        count += 1
+    roots = _roots(g.num_nodes, ((t, h) for t, h in zip(g.tails, g.heads) if t != r != h))
+    ids: dict[int, int] = {}
     labels = g.labels
-    mapping = {labels[x]: comp[x] for x in range(n) if x != root}
-    return ComponentSplit(removed=v, component=mapping, count=count)
+    mapping = {labels[x]: ids.setdefault(root, len(ids)) for x, root in enumerate(roots) if x != r}
+    return ComponentSplit(removed=v, component=mapping, count=len(ids))
 
 
 def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
@@ -545,7 +558,7 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
     fresh node maps circuits one to one, and the fresh node lies on exactly
     one cycle of the decomposition, so it adds no intersection edge.
     """
-    require_eulerian(g)
+    _require_eulerian(g)
     m = g.num_edges
     tails = g.tails
     heads = g.heads
@@ -604,22 +617,9 @@ def pevzner_intersection_graph(g: Graph) -> IntersectionGraph:
             gi_edges.append((i, j, label))
 
     num_cycles = len(cycles_nodes)
-    adjacency: list[list[int]] = [[] for _ in range(num_cycles)]
-    for i, j, _ in gi_edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = bytearray(num_cycles)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in adjacency[x]:
-            if not seen[y]:
-                seen[y] = 1
-                reached += 1
-                stack.append(y)
-    is_tree = reached == num_cycles and len(gi_edges) == num_cycles - 1
+    # A tree: connected, with one edge fewer than it has nodes.
+    roots = _roots(num_cycles, ((i, j) for i, j, _ in gi_edges))
+    is_tree = len(gi_edges) == num_cycles - 1 and len(set(roots)) == 1
     return IntersectionGraph(
         cycles=tuple(cycles_nodes),
         cycle_edges=tuple(cycles_edges),

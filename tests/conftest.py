@@ -8,6 +8,13 @@ import pytest
 from eulersafe import Graph, normalize, random_eulerian_edges
 
 
+def canonical_rotation(edges) -> tuple[int, ...]:
+    """Rotate a circuit's edge sequence to start at its smallest edge id."""
+    edges = tuple(edges)
+    i = edges.index(min(edges))
+    return edges[i:] + edges[:i]
+
+
 def make_triangle() -> Graph:
     return Graph([("a", "b"), ("b", "c"), ("c", "a")])
 

@@ -22,8 +22,6 @@ from eulersafe.oracles import (
 )
 from eulersafe.safety import classify_nodes
 
-from test_safety import walk_multiset
-
 
 def test_uniqueness_equivalence_exhaustive(corpus_5, random_sample_500):
     """has_unique <=> exactly one enumerated circuit <=> BEST count 1."""
@@ -76,11 +74,9 @@ def test_safe_walks_match_brute_force(corpus_5, random_sample_500):
     """Linear-time maximal safe walks equal the definitional brute force."""
     graphs = corpus_5 + random_sample_500
     for g in graphs:
-        assert walk_multiset(maximal_safe_walks(g)) == walk_multiset(
-            brute_force_safe_walks(g)
-        ), list(g.edge_pairs())
+        assert maximal_safe_walks(g) == brute_force_safe_walks(g), list(g.edge_pairs())
     print(
-        f"\nPASS criterion 3: safe-walk multiset equality on {len(graphs)} graphs, "
+        f"\nPASS criterion 3: safe-walk record equality on {len(graphs)} graphs, "
         "0 divergences"
     )
 

@@ -1,6 +1,8 @@
 """The benchmark's per-layer trace and pair script find every public name
-they call, so no per-layer metric goes absent when the API is pruned, and
-README names every public name and exactly the command-line options."""
+they call, so no per-layer metric goes absent when the API is pruned,
+README names every public name and exactly the command-line options, and
+the oracles import from the package only records, errors and the shared
+determinant."""
 import argparse
 import ast
 import re
@@ -36,6 +38,29 @@ def test_pair_script_names_are_exported():
     }
     assert imported
     assert sorted(imported - set(eulersafe.__all__)) == []
+
+
+def test_oracles_import_only_records_errors_and_the_determinant():
+    # Any other package import could let a fault of the fast path reach the
+    # oracles that check it.
+    allowed = {
+        ("eulersafe.graph", "Circuit"),
+        ("eulersafe.graph", "ContractError"),
+        ("eulersafe.graph", "Graph"),
+        ("eulersafe.safety", "SafeWalkReport"),
+        ("eulersafe.circuit", "MAX_BLOCK_NODES"),
+        ("eulersafe.circuit", "_bareiss_determinant"),
+    }
+    source = Path(eulersafe.__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, "*") for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = f"eulersafe.{node.module or ''}".rstrip(".") if node.level else node.module
+            imported |= {(module, alias.name) for alias in node.names}
+    package = {(module, name) for module, name in imported if module.split(".")[0] == "eulersafe"}
+    assert package and sorted(package - allowed) == []
 
 
 def test_readme_names_every_public_name():

@@ -5,7 +5,6 @@ from eulersafe import (
     Circuit,
     ContractError,
     Graph,
-    canonical_rotation,
     find_eulerian_circuit,
     verify_circuit,
 )
@@ -65,11 +64,3 @@ class TestVerifyCircuit:
     def test_rejects_open_walk(self):
         g = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("c", "b"), ("b", "a")])
         assert not verify_circuit(g, Circuit((0, 1, 2, 3, 4, 0)))
-
-
-class TestCanonicalRotation:
-    def test_rotates_to_smallest_id(self):
-        assert canonical_rotation((4, 2, 7, 5)) == (2, 7, 5, 4)
-
-    def test_fixed_point(self):
-        assert canonical_rotation((0, 3, 1)) == (0, 3, 1)

@@ -426,6 +426,16 @@ class TestOracleCompare:
         assert out.startswith("FAIL:")
         assert "safe walks" in out
 
+    def test_walk_order_fault_is_caught(self, graph_file, capsys, monkeypatch):
+        # The right walks in the wrong order: the records are compared whole.
+        def reversed_order(g, norm_map=None):
+            report = maximal_safe_walks(g)
+            return report._replace(walks=report.walks[::-1])
+
+        monkeypatch.setattr("eulersafe.safety.maximal_safe_walks", reversed_order)
+        assert cli.main(["oracle-compare", graph_file(BIDIRECTED)]) == 1
+        assert capsys.readouterr().out == "FAIL: maximal safe walks differ from brute-force result\n"
+
     def test_shared_determinant_fault_is_caught(self, graph_file, capsys, monkeypatch):
         # Both determinant-based counters share Bareiss: only the state
         # count can see it go wrong. Bidirected K5 has 20 edges.

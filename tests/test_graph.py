@@ -24,7 +24,7 @@ from eulersafe import (
 )
 from eulersafe import cli, graph
 from eulersafe.circuit import find_eulerian_circuit
-from eulersafe.oracles import _rewritten_edges
+from eulersafe.oracles import _require_eulerian, _rewritten_edges
 from test_cli import cactus_edges
 
 
@@ -423,7 +423,17 @@ def brute_force_verdict(g):
     return None, None
 
 
+def refusal(require, g):
+    """The message ``require`` raises on ``g``, or None if it passes."""
+    try:
+        require(g)
+    except ContractError as exc:
+        return str(exc)
+    return None
+
+
 def test_witness_matches_brute_force():
+    # The oracles' own Euler check refuses exactly as the analysis pass does.
     rng = random.Random(20261018)
     reasons = Counter()
     for _ in range(2000):
@@ -441,6 +451,7 @@ def test_witness_matches_brute_force():
         check = is_eulerian(g)
         assert (check.reason, check.witness) == brute_force_verdict(g), edges
         assert check.ok == (check.reason is None)
+        assert refusal(_require_eulerian, g) == refusal(graph.require_eulerian, g), edges
         reasons[check.reason] += 1
     assert min(reasons.values()) > 200, reasons
 

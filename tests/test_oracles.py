@@ -11,21 +11,22 @@ import pytest
 from eulersafe import (
     ContractError,
     Graph,
-    canonical_rotation,
     count_circuits,
     has_unique_eulerian_circuit,
     verify_circuit,
 )
-from eulersafe import oracles
+from eulersafe import graph, oracles
 from eulersafe.oracles import (
     _bareiss_determinant,
     brute_force_safe_walks,
+    component_split,
     count_arborescences,
     count_best,
     count_by_states,
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
+from conftest import canonical_rotation
 from test_safety import raw_multigraphs, ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -38,6 +39,28 @@ def feasible_raw_multigraphs():
     for g in raw_multigraphs(1000, seed=99):
         if g.num_edges <= 12:
             yield g
+
+
+@pytest.mark.parametrize("fixture", ["bidirected_triangle", "three_triangles"])
+def test_oracles_run_without_the_analysis_pass(request, monkeypatch, fixture):
+    """No oracle reaches the production analysis pass: each answers the
+    same with it made to raise."""
+    g = request.getfixturevalue(fixture)
+    runs = [
+        count_by_states,
+        enumerate_eulerian_circuits,
+        count_best,
+        brute_force_safe_walks,
+        pevzner_intersection_graph,
+        lambda g: component_split(g, g.labels[0]),
+    ]
+    expected = [run(g) for run in runs]
+
+    def refuse(g):
+        raise AssertionError("the analysis pass ran")
+
+    monkeypatch.setattr(graph, "_analyse", refuse)
+    assert [run(g) for run in runs] == expected
 
 
 class TestEnumeration:

@@ -9,7 +9,6 @@ from eulersafe import (
     Graph,
     SafePairChecker,
     SafetyEvidence,
-    canonical_rotation,
     classify_nodes,
     has_unique_eulerian_circuit,
     is_eulerian,
@@ -26,12 +25,7 @@ from eulersafe.oracles import (
 )
 from eulersafe.safety import WALK_CHUNK
 
-
-def walk_multiset(report):
-    """Comparable form: a full circuit may start anywhere, cut walks may not."""
-    if report.unique_circuit:
-        return sorted(canonical_rotation(w) for w in report.walks)
-    return sorted(report.walks)
+from conftest import canonical_rotation
 
 
 class TestClassifyNodes:
@@ -245,15 +239,11 @@ class TestMaximalSafeWalks:
 
     def test_matches_brute_force_on_corpus(self, corpus_4):
         for g in corpus_4:
-            assert walk_multiset(maximal_safe_walks(g)) == walk_multiset(
-                brute_force_safe_walks(g)
-            ), list(g.edge_pairs())
+            assert maximal_safe_walks(g) == brute_force_safe_walks(g), list(g.edge_pairs())
 
     def test_matches_brute_force_on_random_sample(self, random_sample_500):
         for g in random_sample_500[:120]:
-            assert walk_multiset(maximal_safe_walks(g)) == walk_multiset(
-                brute_force_safe_walks(g)
-            ), list(g.edge_pairs())
+            assert maximal_safe_walks(g) == brute_force_safe_walks(g), list(g.edge_pairs())
 
     def test_independent_of_circuit_choice(self, random_sample_500):
         # Every circuit, cut at every occurrence of a non-forcing node, gives
@@ -261,7 +251,7 @@ class TestMaximalSafeWalks:
         for g in random_sample_500[:60]:
             classes = classify_nodes(g)
             cut_at = {g.index[label] for label, c in classes.items() if not c.in_a}
-            expected = walk_multiset(maximal_safe_walks(g))
+            expected = list(maximal_safe_walks(g).walks)
             for circuit in enumerate_eulerian_circuits(g).circuits:
                 edges = circuit.edges
                 starts = [i for i, e in enumerate(edges) if g.tails[e] in cut_at]
@@ -361,7 +351,7 @@ def test_raw_multigraphs_match_normalized_pipeline():
         edges = list(g.edge_pairs())
         report = maximal_safe_walks(g)
         assert report == maximal_safe_walks(ng, norm_map=nm), edges
-        assert walk_multiset(report) == walk_multiset(brute_force_safe_walks(g)), edges
+        assert report == brute_force_safe_walks(g), edges
         assert has_unique_eulerian_circuit(g) == report.unique_circuit
         assert has_unique_eulerian_circuit(g) == has_unique_eulerian_circuit(ng), edges
         classes = classify_nodes(g)
@@ -494,6 +484,5 @@ def test_pair_verdicts_match_the_definition(corpus_5):
     assert high > 10_000
     for seed, bases, k in [(1, 500, 3), (2, 700, 4), (3, 1000, 5), (4, 1200, 6)]:
         g = Graph(de_bruijn_edges(seed, bases, k))
-        expected = walk_multiset(maximal_safe_walks(g))
-        assert walk_multiset(brute_force_safe_walks(g)) == expected, (seed, bases, k)
+        assert brute_force_safe_walks(g) == maximal_safe_walks(g), (seed, bases, k)
     print(f"\n{pairs} pairs, {high} at nodes of degree >= 3: 0 divergences")
