@@ -91,31 +91,26 @@ def edge_blocks(g: Graph) -> tuple[array, int]:
 
     Returns ``(block, count)``: ``block[e]`` in ``0..count-1`` for each
     non-loop edge id ``e`` and -1 for a self-loop, which belongs to no
-    block. In discovery order a node either opens a new block with its
-    tree edge or continues its parent's; an edge then belongs to the block
-    of its endpoint discovered later (tree edges and back edges alike).
-    ``block`` is an ``array("i")``, as are the per-node tables behind it.
-    Raises :class:`ContractError` if ``g`` is not Eulerian.
+    block. An edge lies in the block that the larger of its two ends'
+    labels names (see :class:`~eulersafe.graph.Analysis`), tree edges and
+    back edges alike; block ids number those labels in increasing order.
+    ``block`` is an ``array("i")``. Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
-    a = require_eulerian(g)
-    disc = a.disc
-    n = len(disc)
-    order = array("i", bytes(4 * n))
-    for v, d in enumerate(disc):
-        order[d] = v
-    node_block = array("i", [-1]) * n
-    count = 0
-    for w in order[1:]:
-        if a.opens[w]:
-            node_block[w] = count
-            count += 1
-        else:
-            node_block[w] = node_block[a.parent[w]]
+    label = require_eulerian(g).block
+    # Node 0, the root, keeps -1; ids[d] counts the labels below d.
+    opened = bytearray(len(label))
+    for d in label[1:]:
+        opened[d] = 1
+    ids = array("i", accumulate(opened, initial=0))
+    # A list boxes each label once; the edge loop reads it once per edge end.
+    label = label.tolist()
     block = array("i", [-1]) * g.num_edges
     for e, (t, h) in enumerate(zip(g.tails, g.heads)):
         if t != h:
-            block[e] = node_block[t if disc[t] > disc[h] else h]
-    return block, count
+            lt = label[t]
+            lh = label[h]
+            block[e] = ids[lt if lt > lh else lh]
+    return block, ids[-1]
 
 
 def count_circuits(g: Graph) -> int:

@@ -8,8 +8,8 @@ by those ids. Self-loops and parallel edges are ordinary edges.
 A :class:`Graph` holds one adjacency structure, an incidence CSR whose
 out-edge part serves directed walks and whose two parts together are the
 underlying undirected graph. :func:`_analyse` is the one traversal: a
-balance scan, then one lowlink DFS that yields connectivity, DFS intervals
-and block openings. :func:`is_eulerian`, :func:`require_eulerian` and
+balance scan, then one lowlink DFS that yields connectivity, cut nodes
+and block labels. :func:`is_eulerian`, :func:`require_eulerian` and
 through them every analysis in the package run it once per call.
 """
 from __future__ import annotations
@@ -167,9 +167,14 @@ Circuit._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def walk_nodes(g: Graph, edges: Sequence[int]) -> list[str]:
-    """Node-label sequence (length k+1) visited by an edge-id walk."""
+    """Node-label sequence (length k+1) visited by an edge-id walk. Raises
+    :class:`ContractError` naming the first id that is not an edge of ``g``."""
     if not edges:
         raise GraphError("walk must be non-empty")
+    m = g.num_edges
+    if min(edges) < 0 or max(edges) >= m:
+        bad = next(e for e in edges if not 0 <= e < m)
+        raise ContractError(f"edge id {bad} is not in the graph")
     nodes = [g.labels[g.tails[edges[0]]]]
     for e in edges:
         nodes.append(g.labels[g.heads[e]])
@@ -296,28 +301,24 @@ class EulerCheck(NamedTuple):
 class Analysis(NamedTuple):
     """Result of the one analysis pass over a graph.
 
-    ``check`` is the Euler verdict. When it holds, the other fields describe
-    the lowlink DFS of the underlying undirected graph from node 0, per node
-    id: discovery time ``disc``; ``fin``, one past the last discovery time
-    in the node's subtree, so the subtree is the nodes whose ``disc`` lies
-    in ``[disc[v], fin[v])``; DFS-tree ``parent`` (-1 for the root);
-    ``opens[w]``, 1 if the tree edge into ``w`` starts a new biconnected
-    block, else 0; and ``cut[v]``, 1 if the node is a cut node, else 0.
-    ``fin`` and ``parent`` are ``array("i")`` and the two flag tables
-    ``bytearray``, so that no object is held per node; ``disc`` stays a
-    list, which the DFS reads fastest. When the check fails they are empty.
+    ``check`` is the Euler verdict. When it holds, the other two fields
+    describe the lowlink DFS of the underlying undirected graph from node
+    0, per node id. ``block[v]`` labels the biconnected block of v's tree
+    edge by the discovery time of the node whose tree edge opens that
+    block; the root, which has no tree edge, keeps -1. A non-loop edge lies
+    in the block labelled by the larger of its two ends' labels, tree edges
+    and back edges alike. ``cut[v]`` is 1 if v is a cut node, else 0.
+    ``block`` is an ``array("i")`` and ``cut`` a ``bytearray``, so that no
+    object is held per node. When the check fails both are empty.
     """
 
     check: EulerCheck
-    disc: list[int]
-    fin: array
-    parent: array
-    opens: bytearray
+    block: array
     cut: bytearray
 
 
 def _failed(check: EulerCheck) -> Analysis:
-    return Analysis(check, [], array("i"), array("i"), bytearray(), bytearray())
+    return Analysis(check, array("i"), bytearray())
 
 
 def _analyse(g: Graph) -> Analysis:
@@ -329,8 +330,11 @@ def _analyse(g: Graph) -> Analysis:
     lowest-id node it does not reach fails the check. Only the specific
     edge used to enter a node is skipped when updating lowlinks, so a
     parallel copy of the tree edge acts as a back edge and a doubled edge
-    never separates its endpoints. A non-root node is a cut node iff some
-    child opens a block below it; the root iff it has more than one child.
+    never separates its endpoints. Discovered nodes wait on a member stack;
+    when a child's tree edge opens a block, the members down to that child
+    take its discovery time as their label. A non-root node is a cut node
+    iff some child opens a block below it; the root iff its non-loop
+    neighbours carry more than one label, one per child.
     """
     n = g.num_nodes
     off = g.off
@@ -342,10 +346,9 @@ def _analyse(g: Graph) -> Analysis:
     nbr = g.nbr
     eid = g.eid
     disc = [-1] * n
-    fin = array("i", bytes(4 * n))
-    parent = array("i", [-1]) * n
-    opens = bytearray(n)
+    block = array("i", [-1]) * n
     cut = bytearray(n)
+    members: list[int] = []
     # Every ancestor of the running node waits on the stack as (node, next
     # entry to scan, lowlink so far, edge used to enter it). The running
     # node's state lives in locals, so back edges never touch the stack.
@@ -363,19 +366,24 @@ def _analyse(g: Graph) -> Analysis:
                 lv = dw
             i += 1
         else:
-            fin[v] = timer
             if not stack:
                 break
             child_low = lv
             p, i, lv, entered = stack.pop()
             if child_low >= disc[p]:
-                opens[v] = cut[p] = 1
+                cut[p] = 1
+                dv = disc[v]
+                while True:
+                    x = members.pop()
+                    block[x] = dv
+                    if x == v:
+                        break
             elif child_low < lv:
                 lv = child_low
             v, end = p, off[p + 1]
             continue
         stack.append((v, i + 1, lv, entered))
-        parent[w] = v
+        members.append(w)
         entered = eid[i]
         disc[w] = lv = timer
         timer += 1
@@ -384,8 +392,8 @@ def _analyse(g: Graph) -> Analysis:
         witness = labels[disc.index(-1)]
         detail = f"node '{witness}' is not reachable from '{labels[0]}' ignoring directions"
         return _failed(EulerCheck(False, "not-weakly-connected", witness, detail))
-    cut[0] = parent.count(0) > 1
-    return Analysis(EulerCheck(True), disc, fin, parent, opens, cut)
+    cut[0] = len({block[w] for w in nbr[off[0] : off[1]] if w}) > 1
+    return Analysis(EulerCheck(True), block, cut)
 
 
 def is_eulerian(g: Graph) -> EulerCheck:

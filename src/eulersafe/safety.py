@@ -62,9 +62,9 @@ class SafetyEvidence(NamedTuple):
     degree-2 node: ``component_u`` is the side of the first edge and
     ``component_w`` that of the second. Side 1 is one out-edge and one
     in-edge at v: v's last self-loop in edge-id order, as both, if it has
-    one, else the two edges whose other ends lie in the subtree of the
-    analysis DFS (from node 0) below v's latest-discovered child that opens
-    a block. Side 0 is the other two.
+    one. Otherwise side 0 is the two edges whose other ends lie in the
+    component of g - v that holds node 0, or, when v is node 0, the one
+    that holds the head of its lowest-id out-edge; side 1 is the other two.
     """
 
     safe: bool
@@ -105,9 +105,9 @@ def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
     None when ``v`` does not force; the other two edges at ``v`` are side 0.
 
     With a self-loop, side 1 is v's last loop, given as both edges. Without
-    one, ``v`` forces only as a cut node, and side 1 is the two edges whose
-    other ends lie in the subtree of v's latest-discovered child that opens
-    a block: their ``disc`` falls in that child's ``[disc, fin)`` interval.
+    one, ``v`` forces only as a cut node and lies in two blocks; side 1 is
+    the two edges whose other ends carry the larger label, which names the
+    later-opened block (see :class:`~eulersafe.graph.Analysis`).
     """
     nbr = g.nbr
     eid = g.eid
@@ -119,18 +119,10 @@ def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
             return eid[i], eid[i]
     if not a.cut[v]:
         return None
-    disc = a.disc
-    parent = a.parent
-    opens = a.opens
-    latest = -1
-    for i in range(start, start + 4):
-        c = nbr[i]
-        if parent[c] == v and opens[c] and (latest < 0 or disc[c] > disc[latest]):
-            latest = c
-    lo, hi = disc[latest], a.fin[latest]
+    block = a.block
     # Each side of a cut node is balanced: one out-edge, one in-edge.
-    out1 = eid[start] if lo <= disc[nbr[start]] < hi else eid[start + 1]
-    return out1, eid[start + 2] if lo <= disc[nbr[start + 2]] < hi else eid[start + 3]
+    out1 = eid[start] if block[nbr[start]] > block[nbr[start + 1]] else eid[start + 1]
+    return out1, eid[start + 2] if block[nbr[start + 2]] > block[nbr[start + 3]] else eid[start + 3]
 
 
 def _forced_successors(g: Graph, a: Analysis, in_a: bytearray) -> array:

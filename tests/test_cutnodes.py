@@ -8,6 +8,7 @@ from eulersafe import (
     component_split,
     underlying_undirected,
 )
+from test_safety import raw_multigraphs
 
 
 def brute_force_cut_nodes(u) -> set:
@@ -81,7 +82,8 @@ class TestArticulationPoints:
             )
 
     def test_matches_brute_force_on_larger_sample(self, random_sample_500):
-        for g in random_sample_500[:150]:
+        # The multigraphs add self-loops, at node 0 too, and parallel pairs.
+        for g in [*random_sample_500[:150], *raw_multigraphs(1000, seed=7)]:
             u = underlying_undirected(g)
             assert articulation_points(u) == brute_force_cut_nodes(u), list(
                 g.edge_pairs()

@@ -263,6 +263,13 @@ class TestWalks:
     def test_walk_nodes(self, triangle):
         assert walk_nodes(triangle, (0, 1, 2)) == ["a", "b", "c", "a"]
 
+    @pytest.mark.parametrize("walk, bad", [((-1,), -1), ((0, 3), 3), ((1, 99, -2), 99)])
+    def test_walk_nodes_rejects_unknown_edge_ids(self, triangle, walk, bad):
+        # A negative id would wrap to the last edge; one of |E| or more is
+        # past the end.
+        with pytest.raises(ContractError, match=rf"^edge id {bad} is not in the graph$"):
+            walk_nodes(triangle, walk)
+
     def test_is_valid_walk(self, triangle):
         assert is_valid_walk(triangle, (0, 1))
         assert not is_valid_walk(triangle, (0, 2))

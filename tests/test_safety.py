@@ -21,6 +21,7 @@ from eulersafe import safety
 from eulersafe.oracles import (
     _possible_successors,
     brute_force_safe_walks,
+    component_split,
     enumerate_eulerian_circuits,
 )
 from eulersafe.safety import WALK_CHUNK
@@ -85,8 +86,8 @@ class TestSafePair:
         assert evidence.safe
         assert evidence.reason == "cut-split"
         assert evidence.component_u != evidence.component_w
-        # v is the DFS root with two opening children, a and then c; the
-        # latest one, c, is side 1.
+        # v is node 0, so side 0 is the one that holds a, the head of its
+        # lowest-id out-edge.
         assert evidence == SafetyEvidence(True, "cut-split", 0, 1)
 
     def test_same_side_of_cut(self, figure_eight):
@@ -418,6 +419,37 @@ def test_forcing_flag_is_a_side_split(corpus_5):
                 )
                 nodes += 1
     assert nodes > 10_000
+
+
+def test_side_0_holds_node_0(corpus_5):
+    """At a loop-free forcing degree-2 node v, side 0 is the pair whose other
+    ends lie in the component of g - v that holds node 0, or, when v is node
+    0, the one that holds the head of its lowest-id out-edge: a numbering
+    that does not depend on the analysis DFS."""
+    nodes = 0
+    # The de Bruijn graph has one loop-free cut node of degree 2.
+    for g in [*corpus_5, *raw_multigraphs(1000, seed=7), Graph(de_bruijn_edges(2, 1000, 12))]:
+        a, degrees, _ = safety._forcing(g)
+        checker = SafePairChecker(g)
+        for v, d in enumerate(degrees):
+            sides = safety._sides(g, a, v) if d == 2 else None
+            if sides is None or sides[0] == sides[1]:
+                continue
+            out_edges = g.eid[g.off[v] : g.out_end[v]]
+            in_edges = g.eid[g.out_end[v] : g.off[v + 1]]
+            component = component_split(g, g.labels[v]).component
+            home = component[g.labels[g.heads[min(out_edges)] if v == 0 else 0]]
+            side = {e: int(component[g.labels[g.heads[e]]] != home) for e in out_edges}
+            side |= {e: int(component[g.labels[g.tails[e]]] != home) for e in in_edges}
+            (out1,) = [e for e in out_edges if side[e]]
+            (in1,) = [e for e in in_edges if side[e]]
+            assert sides == (out1, in1), (list(g.edge_pairs()), v)
+            for e1 in in_edges:
+                for e2 in out_edges:
+                    evidence = checker.check(e1, e2)
+                    assert (evidence.component_u, evidence.component_w) == (side[e1], side[e2])
+            nodes += 1
+    assert nodes > 1000
 
 
 def de_bruijn_edges(seed: int, bases: int = 100_000, k: int = 12) -> list[tuple[str, str]]:
