@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
@@ -50,7 +50,7 @@ def cmd_safe(args) -> int:
     from .safety import _safe_walks
 
     g = _load_graph(args.path)
-    count, unique, walks = _safe_walks(g)
+    count, unique, succ, starts = _safe_walks(g)
     write = sys.stdout.write
     # The walks partition the edges, so their total length is |E|.
     if args.format == "structured":
@@ -58,7 +58,7 @@ def cmd_safe(args) -> int:
             f'{{"edges":{g.num_edges},"record":"header","total_length":{g.num_edges},'
             f'"unique":{"true" if unique else "false"},"walks":{count}}}\n'
         )
-        _write_structured_walks(write, g, walks)
+        _write_structured_walks(write, g, succ, starts)
     else:
         write(
             f"edges: {g.num_edges}\n"
@@ -66,7 +66,7 @@ def cmd_safe(args) -> int:
             f"total length: {g.num_edges}\n"
             f"unique circuit: {'yes' if unique else 'no'}\n"
         )
-        _write_text_walks(write, g, walks)
+        _write_text_walks(write, g, succ, starts)
     return 0
 
 
@@ -78,45 +78,52 @@ def _flush(write, batch: list[str]) -> None:
     would hold every line, and then their join, in memory. The header has
     its own write, and a walk longer than ``WALK_CHUNK`` edges goes out
     alone, ``WALK_CHUNK`` edges per write, so that no write holds all of it.
+    A one-edge walk's line is formatted straight from the edge arrays; every
+    other walk is followed by ``safety._walk`` only when its turn comes.
     """
     if batch:
         write("".join(batch))
         batch.clear()
 
 
-def _write_text_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> None:
-    from .safety import WALK_CHUNK
+def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
+    from .safety import WALK_CHUNK, _walk
 
     labels = g.labels
     tails = g.tails
     heads = g.heads
     batch: list[str] = []
-    for index, walk in enumerate(walks):
-        if len(walk) <= WALK_CHUNK:
+    for index, first in enumerate(starts):
+        if succ[first] < 0:
+            batch.append(
+                f"walk {index} (length 1): {labels[tails[first]]} -> {labels[heads[first]]} "
+                f"[edges {first}]\n"
+            )
+        elif len(walk := _walk(succ, first)) <= WALK_CHUNK:
             nodes = " -> ".join([labels[heads[e]] for e in walk])
             ids = " ".join(map(str, walk))
             batch.append(
-                f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]} -> {nodes} "
+                f"walk {index} (length {len(walk)}): {labels[tails[first]]} -> {nodes} "
                 f"[edges {ids}]\n"
             )
-            if len(batch) == 1024:
-                _flush(write, batch)
-            continue
-        _flush(write, batch)
-        write(f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]}")
-        for i in range(0, len(walk), WALK_CHUNK):
-            write(" -> " + " -> ".join([labels[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
-        write(" [edges")
-        for i in range(0, len(walk), WALK_CHUNK):
-            write(" " + " ".join(map(str, walk[i : i + WALK_CHUNK])))
-        write("]\n")
+        else:
+            _flush(write, batch)
+            write(f"walk {index} (length {len(walk)}): {labels[tails[first]]}")
+            for i in range(0, len(walk), WALK_CHUNK):
+                write(" -> " + " -> ".join([labels[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
+            write(" [edges")
+            for i in range(0, len(walk), WALK_CHUNK):
+                write(" " + " ".join(map(str, walk[i : i + WALK_CHUNK])))
+            write("]\n")
+        if len(batch) == 1024:
+            _flush(write, batch)
     _flush(write, batch)
 
 
-def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> None:
+def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
     from json.encoder import encode_basestring_ascii
 
-    from .safety import WALK_CHUNK
+    from .safety import WALK_CHUNK, _walk
 
     # json.dumps escapes strings with this same function under its default
     # ensure_ascii=True, so every record matches
@@ -135,26 +142,31 @@ def _write_structured_walks(write, g: Graph, walks: Iterator[Sequence[int]]) -> 
     tails = g.tails
     heads = g.heads
     batch: list[str] = []
-    for index, walk in enumerate(walks):
-        if len(walk) <= WALK_CHUNK:
+    for index, first in enumerate(starts):
+        if succ[first] < 0:
+            batch.append(
+                f'{{"edges":[{first}],"index":{index},"length":1,'
+                f'"nodes":["{names[tails[first]]}","{names[heads[first]]}"],"record":"walk"}}\n'
+            )
+        elif len(walk := _walk(succ, first)) <= WALK_CHUNK:
             edges = ",".join(map(str, walk))
             nodes = '","'.join([names[heads[e]] for e in walk])
             batch.append(
                 f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
-                f'"nodes":["{names[tails[walk[0]]]}","{nodes}"],"record":"walk"}}\n'
+                f'"nodes":["{names[tails[first]]}","{nodes}"],"record":"walk"}}\n'
             )
-            if len(batch) == 1024:
-                _flush(write, batch)
-            continue
-        _flush(write, batch)
-        separator = '{"edges":['
-        for i in range(0, len(walk), WALK_CHUNK):
-            write(separator + ",".join(map(str, walk[i : i + WALK_CHUNK])))
-            separator = ","
-        write(f'],"index":{index},"length":{len(walk)},"nodes":["{names[tails[walk[0]]]}')
-        for i in range(0, len(walk), WALK_CHUNK):
-            write('","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
-        write('"],"record":"walk"}\n')
+        else:
+            _flush(write, batch)
+            separator = '{"edges":['
+            for i in range(0, len(walk), WALK_CHUNK):
+                write(separator + ",".join(map(str, walk[i : i + WALK_CHUNK])))
+                separator = ","
+            write(f'],"index":{index},"length":{len(walk)},"nodes":["{names[tails[first]]}')
+            for i in range(0, len(walk), WALK_CHUNK):
+                write('","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
+            write('"],"record":"walk"}\n')
+        if len(batch) == 1024:
+            _flush(write, batch)
     _flush(write, batch)
 
 

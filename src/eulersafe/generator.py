@@ -8,6 +8,13 @@ from .graph import GraphError
 
 # Draws of the whole cycle set before random_eulerian_edges gives up.
 MAX_ATTEMPTS = 1000
+# Bound on num_nodes * num_cycles, the most edges a draw can have (a draw
+# averages about half of it). `gen 2000 1000` draws 999,863 edges and peaks
+# at 304 MB, `gen 4000 1000` about 2 * 10**6 edges and 596 MB, so about
+# 300 bytes per edge (Python 3.11, x86-64 Linux): at the bound a draw peaks
+# near 600 MB, and at most near 1.2 GB. Beyond it, drawing is refused
+# rather than run until memory runs out.
+MAX_GEN_EDGES = 4_000_000
 
 
 def random_eulerian_edges(
@@ -20,13 +27,20 @@ def random_eulerian_edges(
     Each cycle is a uniformly drawn subset of size >= 2, permuted
     cyclically, so the union is balanced at every node and Eulerian once
     weakly connected; draws are repeated until the used nodes form one weak
-    component (at most ``MAX_ATTEMPTS`` times). Deterministic for a fixed
-    seed. Nodes are labeled v0..v{n-1}; only nodes on some cycle appear.
+    component (at most ``MAX_ATTEMPTS`` times). ``num_nodes * num_cycles``
+    bounds the edge count, and above ``MAX_GEN_EDGES`` the draw is refused
+    with :class:`GraphError`. Deterministic for a fixed seed. Nodes are
+    labeled v0..v{n-1}; only nodes on some cycle appear.
     """
     if num_nodes < 2:
         raise GraphError("need at least 2 nodes to draw a simple cycle")
     if num_cycles < 1:
         raise GraphError("need at least one cycle")
+    if num_nodes * num_cycles > MAX_GEN_EDGES:
+        raise GraphError(
+            f"random graph refused: {num_nodes} nodes times {num_cycles} cycles may draw "
+            f"up to {num_nodes * num_cycles} edges, above MAX_GEN_EDGES = {MAX_GEN_EDGES}"
+        )
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
         edges: list[tuple[int, int]] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from itertools import compress, count
 from operator import not_, sub
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .graph import Analysis, ContractError, Graph, require_eulerian
 
@@ -206,50 +206,53 @@ def has_unique_eulerian_circuit(g: Graph) -> bool:
 WALK_CHUNK = 4096
 
 
-def _safe_walks(g: Graph) -> tuple[int, bool, Iterator[Sequence[int]]]:
-    """``(count, unique, walks)``: the number of maximal safe walks, whether
-    the circuit is unique, and the walks themselves, each followed along its
-    chain of forced successors only when the iterator reaches it.
+def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
+    """``(count, unique, succ, starts)``: the number of maximal safe walks,
+    whether the circuit is unique, the forced-successor table and the first
+    edge id of each walk, in the order the walks are listed.
 
     A walk starts at every edge leaving a non-forcing node, in ascending
-    edge id, and ends at the next non-forcing node. If every node is forcing
-    the one walk is the whole circuit, from edge id 0. A walk is a list up
-    to :data:`WALK_CHUNK` edges and an ``array("i")`` beyond. A chain
-    longer than |E| can only come from a faulty successor table, and raises
-    :class:`ContractError` instead of growing without bound.
+    edge id, and ends at the next non-forcing node; :func:`_walk` follows
+    one. A start whose successor is -1 is a one-edge walk. If every node is
+    forcing the one walk is the whole circuit, from edge id 0.
     """
     a, degrees, in_a = _forcing(g)
     succ = _forced_successors(g, a, in_a)
     # One walk per start: per out-edge of every non-forcing node.
     number = sum(compress(degrees, map(not_, in_a)))
     if not number:
-        return 1, True, _follow(succ, (0,), g.num_edges)
-    starts = compress(count(), map(not_, map(in_a.__getitem__, g.tails)))
-    return number, False, _follow(succ, starts, g.num_edges)
+        return 1, True, succ, (0,)
+    return number, False, succ, compress(count(), map(not_, map(in_a.__getitem__, g.tails)))
 
 
-def _follow(succ: array, starts: Iterator[int], m: int) -> Iterator[Sequence[int]]:
+def _walk(succ: array, first: int) -> Sequence[int]:
+    """The walk from edge ``first`` along its chain of forced successors.
+
+    It is a list up to :data:`WALK_CHUNK` edges and an ``array("i")``
+    beyond. A chain longer than |E| can only come from a faulty successor
+    table, and raises :class:`ContractError` instead of growing without
+    bound.
+    """
     chunk = WALK_CHUNK
-    for first in starts:
-        walk = [first]
-        e = succ[first]
-        long = None
-        while e >= 0 and e != first:
-            walk.append(e)
-            e = succ[e]
-            if len(walk) > chunk:
-                if long is None:
-                    long = array("i")
-                long.extend(walk)
-                if len(long) > m:
-                    raise ContractError(
-                        f"forced-successor chain from edge {first} is longer than |E| = {m}"
-                    )
-                walk = []
-        if long is not None:
+    walk = [first]
+    e = succ[first]
+    long = None
+    while e >= 0 and e != first:
+        walk.append(e)
+        e = succ[e]
+        if len(walk) > chunk:
+            if long is None:
+                long = array("i")
             long.extend(walk)
-            walk = long
-        yield walk
+            if len(long) > len(succ):
+                raise ContractError(
+                    f"forced-successor chain from edge {first} is longer than |E| = {len(succ)}"
+                )
+            walk = []
+    if long is not None:
+        long.extend(walk)
+        return long
+    return walk
 
 
 def maximal_safe_walks(
@@ -266,8 +269,8 @@ def maximal_safe_walks(
     graph back to the original edge ids; it remains for ``bench/`` until
     ROADMAP item 1.
     """
-    _, unique, chains = _safe_walks(g)
-    walks = [tuple(walk) for walk in chains]
+    _, unique, succ, starts = _safe_walks(g)
+    walks = [tuple(_walk(succ, first)) for first in starts]
     if norm_map is not None and not norm_map.is_identity:
         walks = [norm_map.project(w, circular=unique) for w in walks]
     total = sum(len(w) for w in walks)

@@ -267,6 +267,13 @@ def hub_graph(cycles: int) -> str:
     return "".join(f"h a{i}\na{i} h\n" for i in range(cycles))
 
 
+def pairs_graph(walks: int) -> str:
+    """Two hubs joined by ``walks // 2`` parallel pairs ``h k`` / ``k h``,
+    and a self-loop at ``h`` if ``walks`` is odd. For ``walks`` >= 4
+    neither hub forces, so every edge is a one-edge maximal safe walk."""
+    return "h k\nk h\n" * (walks // 2) + "h h\n" * (walks % 2)
+
+
 class RecordingStdout:
     """Stands in for ``sys.stdout`` and keeps each write."""
 
@@ -294,12 +301,9 @@ def safe_child(path: str, *args: str, unbuffered: bool) -> tuple[list[str], dict
 class TestSafeBatches:
     """`safe` writes its lines joined, at most 1024 walks per write."""
 
-    @pytest.mark.parametrize("fmt", ["text", "structured"])
-    @pytest.mark.parametrize("walks", [1, 1023, 1024, 1025, 3000])
-    def test_write_count(self, graph_file, monkeypatch, fmt, walks):
-        text = hub_graph(walks)
+    @staticmethod
+    def check_write_count(graph_file, monkeypatch, fmt, text, walks):
         g = parse_edge_list(text)
-        assert len(maximal_safe_walks(g).walks) == walks
         stdout = RecordingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
         assert cli.main(["safe", graph_file(text), "--format", fmt]) == 0
@@ -309,16 +313,28 @@ class TestSafeBatches:
         assert max(w.count(walk_marker) for w in stdout.writes) <= 1024
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
-    @pytest.mark.parametrize("length", [WALK_CHUNK, WALK_CHUNK + 1, 3 * WALK_CHUNK + 5])
-    def test_long_walk_is_written_in_pieces(self, graph_file, monkeypatch, fmt, length):
-        # A ring of `length` edges through the hub, between 600 two-edge
-        # cycles on either side: one long walk amid short ones.
-        text = (
-            hub_graph(600)
-            + "".join(f"{t} {h}\n" for t, h in ring(length))
-            + "".join(f"h b{i}\nb{i} h\n" for i in range(600))
-        )
+    @pytest.mark.parametrize("walks", [1, 1023, 1024, 1025, 3000])
+    def test_write_count(self, graph_file, monkeypatch, fmt, walks):
+        text = hub_graph(walks)
+        assert len(maximal_safe_walks(parse_edge_list(text)).walks) == walks
+        self.check_write_count(graph_file, monkeypatch, fmt, text, walks)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("walks", [4, 1023, 1024, 1025, 3000])
+    def test_write_count_one_edge_walks(self, graph_file, monkeypatch, fmt, walks):
+        text = pairs_graph(walks)
+        report = maximal_safe_walks(parse_edge_list(text))
+        assert [len(walk) for walk in report.walks] == [1] * walks
+        self.check_write_count(graph_file, monkeypatch, fmt, text, walks)
+
+    @staticmethod
+    def check_long_walk(graph_file, monkeypatch, fmt, length, before, after, short):
+        # A ring of `length` edges through the hub h, between the short
+        # walks of `before` and `after`: one long walk amid short ones,
+        # with the lines of `before` still batched when it comes.
+        text = before + "".join(f"{t} {h}\n" for t, h in ring(length)) + after
         g = parse_edge_list(text)
+        assert [len(walk) for walk in maximal_safe_walks(g).walks] == short + [length] + short
         expected = reference_safe_output(g, fmt)
         stdout = RecordingStdout()
         monkeypatch.setattr(sys, "stdout", stdout)
@@ -331,6 +347,21 @@ class TestSafeBatches:
         else:
             assert not holding
             assert max(w.count("ring") for w in stdout.writes) <= WALK_CHUNK
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("length", [WALK_CHUNK, WALK_CHUNK + 1, 3 * WALK_CHUNK + 5])
+    def test_long_walk_is_written_in_pieces(self, graph_file, monkeypatch, fmt, length):
+        # 600 two-edge cycles through the hub on either side.
+        after = "".join(f"h b{i}\nb{i} h\n" for i in range(600))
+        self.check_long_walk(graph_file, monkeypatch, fmt, length, hub_graph(600), after, [2] * 600)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("length", [WALK_CHUNK, WALK_CHUNK + 1, 3 * WALK_CHUNK + 5])
+    def test_long_walk_among_one_edge_walks(self, graph_file, monkeypatch, fmt, length):
+        # 600 one-edge walks between the hubs h and k on either side, whose
+        # lines `safe` writes straight from the edge arrays.
+        pairs = pairs_graph(600)
+        self.check_long_walk(graph_file, monkeypatch, fmt, length, pairs, pairs, [1] * 600)
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_same_bytes_unbuffered(self, graph_file, fmt):
@@ -1037,6 +1068,23 @@ class TestGen:
     def test_bad_parameters(self, capsys):
         assert cli.main(["gen", "1", "2"]) == 2
         assert "at least 2 nodes" in capsys.readouterr().err
+
+    def test_refuses_past_max_gen_edges(self, capsys):
+        # Refused before any draw, so this returns at once.
+        assert cli.main(["gen", "1000000", "1000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: random graph refused: ") and err.count("\n") == 1
+        assert "up to 1000000000000 edges" in err
+
+    def test_max_gen_edges_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr("eulersafe.generator.MAX_GEN_EDGES", 8)
+        assert cli.main(["gen", "4", "2"]) == 0
+        assert is_eulerian(parse_edge_list(capsys.readouterr().out))
+        assert cli.main(["gen", "3", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: random graph refused: 3 nodes times 3 cycles may draw up to 9 edges, "
+            "above MAX_GEN_EDGES = 8\n"
+        )
 
     def test_gives_up_after_max_attempts(self, monkeypatch, capsys):
         monkeypatch.setattr("eulersafe.generator.MAX_ATTEMPTS", 0)

@@ -1,8 +1,12 @@
 """Parsing, the multigraph model, normalization, and the analysis pass."""
+import argparse
+import contextlib
+import io
 import random
 import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -471,10 +475,29 @@ def pair_batch(g):
                 checker.check(e1, e2)
 
 
+def cli_safe(fmt):
+    """`safe` in format ``fmt`` on a graph, through the CLI's own writer."""
+
+    def run(g):
+        with mock.patch.object(cli, "_load_graph", lambda path: g):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.cmd_safe(argparse.Namespace(path="-", format=fmt)) == 0
+        assert out.getvalue().startswith(f"edges: {g.num_edges}\n" if fmt == "text" else "{")
+
+    return run
+
+
 @pytest.mark.parametrize(
     "entry",
-    [has_unique_eulerian_circuit, maximal_safe_walks, count_circuits, pair_batch],
-    ids=["unique", "walks", "count", "pair-batch"],
+    [
+        has_unique_eulerian_circuit,
+        maximal_safe_walks,
+        count_circuits,
+        pair_batch,
+        cli_safe("text"),
+        cli_safe("structured"),
+    ],
+    ids=["unique", "walks", "count", "pair-batch", "safe-text", "safe-structured"],
 )
 def test_entry_points_run_the_pass_once(monkeypatch, entry):
     calls = []
