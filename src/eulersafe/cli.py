@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
@@ -70,28 +70,54 @@ def cmd_safe(args) -> int:
     return 0
 
 
+# `safe` writes a walk longer than this many edges in pieces of this many.
+WALK_CHUNK = 4096
+
+
 def _flush(write, batch: list[str]) -> None:
     """Write the batched walk lines, if any, as one string.
 
     Walk lines go out joined, 1024 per write. A write per line costs a
     system call each when stdout is unbuffered; one write of everything
     would hold every line, and then their join, in memory. The header has
-    its own write, and a walk longer than ``WALK_CHUNK`` edges goes out
-    alone, ``WALK_CHUNK`` edges per write, so that no write holds all of it.
-    A one-edge walk's line is formatted straight from the edge arrays; every
-    other walk is followed by ``safety._walk`` only when its turn comes.
+    its own write. A one-edge walk's line is formatted straight from the
+    edge arrays; every other walk is followed by ``safety._walk`` only when
+    its turn comes, and its line is built by :func:`_write_pieces`.
     """
     if batch:
         write("".join(batch))
         batch.clear()
 
 
+def _write_pieces(write, batch: list[str], walk: Sequence[int], pieces: Iterable[str]) -> None:
+    """Add the line of ``walk``, given as its ``pieces``, to the batch; or,
+    past ``WALK_CHUNK`` edges, flush the batch and write the line one piece
+    at a time, so that no write holds all of it. Each of a long line's
+    pieces holds at most ``WALK_CHUNK`` edges."""
+    if len(walk) <= WALK_CHUNK:
+        batch.append("".join(pieces))
+        return
+    _flush(write, batch)
+    for piece in pieces:
+        write(piece)
+
+
 def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
-    from .safety import WALK_CHUNK, _walk
+    from .safety import _walk
 
     labels = g.labels
     tails = g.tails
     heads = g.heads
+
+    def pieces(index: int, walk: Sequence[int]) -> Iterator[str]:
+        yield f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]}"
+        for i in range(0, len(walk), WALK_CHUNK):
+            yield " -> " + " -> ".join([labels[heads[e]] for e in walk[i : i + WALK_CHUNK]])
+        yield " [edges"
+        for i in range(0, len(walk), WALK_CHUNK):
+            yield " " + " ".join(map(str, walk[i : i + WALK_CHUNK]))
+        yield "]\n"
+
     batch: list[str] = []
     for index, first in enumerate(starts):
         if succ[first] < 0:
@@ -99,22 +125,9 @@ def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int
                 f"walk {index} (length 1): {labels[tails[first]]} -> {labels[heads[first]]} "
                 f"[edges {first}]\n"
             )
-        elif len(walk := _walk(succ, first)) <= WALK_CHUNK:
-            nodes = " -> ".join([labels[heads[e]] for e in walk])
-            ids = " ".join(map(str, walk))
-            batch.append(
-                f"walk {index} (length {len(walk)}): {labels[tails[first]]} -> {nodes} "
-                f"[edges {ids}]\n"
-            )
         else:
-            _flush(write, batch)
-            write(f"walk {index} (length {len(walk)}): {labels[tails[first]]}")
-            for i in range(0, len(walk), WALK_CHUNK):
-                write(" -> " + " -> ".join([labels[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
-            write(" [edges")
-            for i in range(0, len(walk), WALK_CHUNK):
-                write(" " + " ".join(map(str, walk[i : i + WALK_CHUNK])))
-            write("]\n")
+            walk = _walk(succ, first)
+            _write_pieces(write, batch, walk, pieces(index, walk))
         if len(batch) == 1024:
             _flush(write, batch)
     _flush(write, batch)
@@ -123,7 +136,7 @@ def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int
 def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
     from json.encoder import encode_basestring_ascii
 
-    from .safety import WALK_CHUNK, _walk
+    from .safety import _walk
 
     # json.dumps escapes strings with this same function under its default
     # ensure_ascii=True, so every record matches
@@ -141,6 +154,17 @@ def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterab
             break
     tails = g.tails
     heads = g.heads
+
+    def pieces(index: int, walk: Sequence[int]) -> Iterator[str]:
+        separator = '{"edges":['
+        for i in range(0, len(walk), WALK_CHUNK):
+            yield separator + ",".join(map(str, walk[i : i + WALK_CHUNK]))
+            separator = ","
+        yield f'],"index":{index},"length":{len(walk)},"nodes":["{names[tails[walk[0]]]}'
+        for i in range(0, len(walk), WALK_CHUNK):
+            yield '","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]])
+        yield '"],"record":"walk"}\n'
+
     batch: list[str] = []
     for index, first in enumerate(starts):
         if succ[first] < 0:
@@ -148,23 +172,9 @@ def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterab
                 f'{{"edges":[{first}],"index":{index},"length":1,'
                 f'"nodes":["{names[tails[first]]}","{names[heads[first]]}"],"record":"walk"}}\n'
             )
-        elif len(walk := _walk(succ, first)) <= WALK_CHUNK:
-            edges = ",".join(map(str, walk))
-            nodes = '","'.join([names[heads[e]] for e in walk])
-            batch.append(
-                f'{{"edges":[{edges}],"index":{index},"length":{len(walk)},'
-                f'"nodes":["{names[tails[first]]}","{nodes}"],"record":"walk"}}\n'
-            )
         else:
-            _flush(write, batch)
-            separator = '{"edges":['
-            for i in range(0, len(walk), WALK_CHUNK):
-                write(separator + ",".join(map(str, walk[i : i + WALK_CHUNK])))
-                separator = ","
-            write(f'],"index":{index},"length":{len(walk)},"nodes":["{names[tails[first]]}')
-            for i in range(0, len(walk), WALK_CHUNK):
-                write('","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]]))
-            write('"],"record":"walk"}\n')
+            walk = _walk(succ, first)
+            _write_pieces(write, batch, walk, pieces(index, walk))
         if len(batch) == 1024:
             _flush(write, batch)
     _flush(write, batch)

@@ -10,9 +10,9 @@ from .graph import GraphError
 MAX_ATTEMPTS = 1000
 # Bound on num_nodes * num_cycles, the most edges a draw can have (a draw
 # averages about half of it). `gen 2000 1000` draws 999,863 edges and peaks
-# at 304 MB, `gen 4000 1000` about 2 * 10**6 edges and 596 MB, so about
-# 300 bytes per edge (Python 3.11, x86-64 Linux): at the bound a draw peaks
-# near 600 MB, and at most near 1.2 GB. Beyond it, drawing is refused
+# at 182 MB, `gen 4000 1000` 1,996,289 edges and 352 MB, so about 175
+# bytes per edge (Python 3.11, x86-64 Linux): at the bound a draw peaks
+# near 350 MB, and at most near 700 MB. Beyond it, drawing is refused
 # rather than run until memory runs out.
 MAX_GEN_EDGES = 4_000_000
 
@@ -50,7 +50,9 @@ def random_eulerian_edges(
             for i in range(k):
                 edges.append((nodes[i], nodes[(i + 1) % k]))
         if _weakly_connected(edges):
-            return [(f"v{t}", f"v{h}") for t, h in edges]
+            # One label string per node, shared by all its edges.
+            names = [f"v{i}" for i in range(num_nodes)]
+            return [(names[t], names[h]) for t, h in edges]
     raise GraphError(f"could not draw a weakly connected graph in {MAX_ATTEMPTS} attempts")
 
 

@@ -132,7 +132,10 @@ class Graph:
         return len(self.tails)
 
     def edge(self, e: int) -> tuple[str, str]:
-        """Endpoint labels (tail, head) of edge ``e``."""
+        """Endpoint labels (tail, head) of edge ``e``. Raises
+        :class:`ContractError` if ``e`` is not an edge id of the graph."""
+        if not 0 <= e < len(self.tails):
+            raise ContractError(f"edge id {e} is not in the graph")
         return self.labels[self.tails[e]], self.labels[self.heads[e]]
 
     def edge_pairs(self) -> Iterator[tuple[str, str]]:

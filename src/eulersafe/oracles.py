@@ -165,8 +165,11 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     subs: list[str] = []
     taken: set[str] = set()
     counter = 0
+    labels = g.labels
+    tails = g.tails
+    heads = g.heads
     for e in range(m):
-        tail, head = g.edge(e)
+        tail, head = labels[tails[e]], labels[heads[e]]
         if e in rewrite:
             label, counter = _fresh_label(g.index, taken, counter)
             taken.add(label)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from itertools import compress, count
 from operator import not_, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .graph import Analysis, ContractError, Graph, require_eulerian
 
@@ -200,12 +200,6 @@ def has_unique_eulerian_circuit(g: Graph) -> bool:
     return all(_forcing(g)[2])
 
 
-# A walk of up to this many edges is a list; a longer one is an
-# array("i"), 4 bytes per edge, and `safe` writes it this many edges at a
-# time.
-WALK_CHUNK = 4096
-
-
 def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
     """``(count, unique, succ, starts)``: the number of maximal safe walks,
     whether the circuit is unique, the forced-successor table and the first
@@ -225,34 +219,23 @@ def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
     return number, False, succ, compress(count(), map(not_, map(in_a.__getitem__, g.tails)))
 
 
-def _walk(succ: array, first: int) -> Sequence[int]:
-    """The walk from edge ``first`` along its chain of forced successors.
+def _walk(succ: array, first: int) -> array:
+    """The walk from edge ``first`` along its chain of forced successors,
+    as an ``array("i")``, 4 bytes per edge.
 
-    It is a list up to :data:`WALK_CHUNK` edges and an ``array("i")``
-    beyond. A chain longer than |E| can only come from a faulty successor
-    table, and raises :class:`ContractError` instead of growing without
-    bound.
+    A chain longer than |E| can only come from a faulty successor table,
+    and raises :class:`ContractError` instead of growing without bound.
     """
-    chunk = WALK_CHUNK
-    walk = [first]
-    e = succ[first]
-    long = None
-    while e >= 0 and e != first:
+    walk = array("i")
+    e = first
+    for _ in range(len(succ)):
         walk.append(e)
         e = succ[e]
-        if len(walk) > chunk:
-            if long is None:
-                long = array("i")
-            long.extend(walk)
-            if len(long) > len(succ):
-                raise ContractError(
-                    f"forced-successor chain from edge {first} is longer than |E| = {len(succ)}"
-                )
-            walk = []
-    if long is not None:
-        long.extend(walk)
-        return long
-    return walk
+        if e < 0 or e == first:
+            return walk
+    raise ContractError(
+        f"forced-successor chain from edge {first} is longer than |E| = {len(succ)}"
+    )
 
 
 def maximal_safe_walks(

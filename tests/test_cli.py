@@ -26,9 +26,10 @@ from eulersafe import (
     walk_nodes,
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
+from eulersafe.cli import WALK_CHUNK
 from eulersafe.generator import edge_list_text, random_eulerian_edges
 from eulersafe.oracles import count_by_states, pevzner_intersection_graph
-from eulersafe.safety import WALK_CHUNK, SafeWalkReport
+from eulersafe.safety import SafeWalkReport
 from test_safety import cycling_successors, raw_multigraphs, ring
 
 TRIANGLE = "a b\nb c\nc a\n"
@@ -1064,6 +1065,11 @@ class TestGen:
         assert cli.main(["gen", "4", "2", "--seed", "3"]) == 0
         edges = random_eulerian_edges(4, 2, seed=3)
         assert capsys.readouterr().out == edge_list_text(edges)
+
+    def test_equal_ids_share_one_label(self):
+        edges = random_eulerian_edges(30, 20, seed=5)
+        labels = {label for edge in edges for label in edge}
+        assert len({id(label) for edge in edges for label in edge}) == len(labels)
 
     def test_bad_parameters(self, capsys):
         assert cli.main(["gen", "1", "2"]) == 2

@@ -172,6 +172,12 @@ class TestGraphModel:
         assert g.edge(1) == ("y", "x")
         assert g.edge(2) == ("x", "y")
 
+    @pytest.mark.parametrize("bad", [-1, 3, 99])
+    def test_edge_rejects_unknown_ids(self, triangle, bad):
+        # -1 would wrap to the last edge; 3 and 99 are past the end.
+        with pytest.raises(ContractError, match=rf"^edge id {bad} is not in the graph$"):
+            triangle.edge(bad)
+
     def test_adjacency_consistency(self):
         g = Graph([("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
         for v in range(g.num_nodes):

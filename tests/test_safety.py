@@ -24,7 +24,7 @@ from eulersafe.oracles import (
     component_split,
     enumerate_eulerian_circuits,
 )
-from eulersafe.safety import WALK_CHUNK
+from eulersafe.cli import WALK_CHUNK
 
 from conftest import canonical_rotation
 
@@ -292,8 +292,9 @@ def ring(length: int, through: str = "h") -> list[tuple[str, str]]:
     "length", [WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, 2 * WALK_CHUNK + 1, 3 * WALK_CHUNK]
 )
 class TestLongWalks:
-    """A walk past WALK_CHUNK edges is kept in an array from there on; it
-    must come out whole and in order at every chunk boundary."""
+    """Every walk is followed into one ``array("i")``, and `safe` writes one
+    past WALK_CHUNK edges in pieces; it must come out whole and in order at
+    every chunk boundary."""
 
     def test_unique_ring(self, length):
         report = maximal_safe_walks(Graph(ring(length)))
@@ -307,6 +308,16 @@ class TestLongWalks:
         assert not report.unique_circuit
         assert report.walks == ((0, 1), tuple(range(2, length + 2)), (length + 2, length + 3))
         assert report.total_edge_length == g.num_edges
+
+    def test_walk_is_an_int_array(self, length):
+        # 4 bytes per edge at every length, never a list: the unique ring,
+        # then the ring between two short walks through a degree-3 hub.
+        hub = [("h", "a"), ("a", "h")] + ring(length) + [("h", "b"), ("b", "h")]
+        for g, ring_walk in ((Graph(ring(length)), 0), (Graph(hub), 1)):
+            _, _, succ, starts = safety._safe_walks(g)
+            walks = [safety._walk(succ, first) for first in starts]
+            assert all(type(walk) is array and walk.typecode == "i" for walk in walks)
+            assert walks[ring_walk] == array("i", range(2 * ring_walk, 2 * ring_walk + length))
 
 
 def cycling_successors(g, a, in_a):
