@@ -2,11 +2,13 @@
 
 Linear-time decisions about directed Eulerian graphs: whether the Eulerian
 circuit is unique, which consecutive edge pairs are forced in every
-circuit, and the full set of maximal safe walks. Oracles (exhaustive
-enumeration, determinant-based counting, transition splitting,
-cycle-intersection test) are provided for verification; exact circuit
-counting factors the BEST theorem over biconnected blocks. Self-loops and parallel edges are
-analysed as they are, by the oracles too.
+circuit, and the full set of maximal safe walks; exact circuit counting
+factors the BEST theorem over biconnected blocks. Self-loops and parallel
+edges are analysed as they are. The oracles that cross-check these
+answers (exhaustive enumeration, counting over trail states,
+determinant-based counting, transition splitting, the cycle-intersection
+test) live in :mod:`eulersafe.oracles`; the package exports only the few
+that the benchmark calls.
 
 Importing the package loads none of its submodules: each public name is
 imported from its submodule on first access, so a command pays only for
@@ -18,39 +20,27 @@ from importlib import import_module
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     "Circuit": "graph",
-    "ComponentSplit": "oracles",
     "ContractError": "graph",
-    "CountReport": "oracles",
-    "EnumerationResult": "oracles",
     "EulerCheck": "graph",
     "Graph": "graph",
     "GraphError": "graph",
-    "IntersectionGraph": "oracles",
     "NodeClass": "safety",
-    "NormalizationMap": "oracles",
     "ParseError": "graph",
     "SafePairChecker": "safety",
     "SafeWalkReport": "safety",
     "SafetyEvidence": "safety",
     "articulation_points": "graph",
-    "brute_force_safe_walks": "oracles",
     "classify_nodes": "safety",
     "component_split": "oracles",
-    "count_arborescences": "oracles",
     "count_best": "oracles",
-    "count_by_states": "oracles",
     "count_circuits": "circuit",
-    "edge_list_text": "generator",
     "enumerate_eulerian_circuits": "oracles",
     "find_eulerian_circuit": "circuit",
     "has_unique_eulerian_circuit": "safety",
     "is_eulerian": "graph",
-    "is_safe_pair": "safety",
-    "is_valid_walk": "graph",
     "maximal_safe_walks": "safety",
     "normalize": "oracles",
     "parse_edge_list": "graph",
-    "pevzner_intersection_graph": "oracles",
     "random_eulerian_edges": "generator",
     "underlying_undirected": "graph",
     "verify_circuit": "circuit",

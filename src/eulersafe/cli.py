@@ -240,10 +240,14 @@ def cmd_oracle_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from . import generator
+    from .generator import _draw
 
-    edges = generator.random_eulerian_edges(args.nodes, args.cycles, seed=args.seed)
-    sys.stdout.write(generator.edge_list_text(edges))
+    edges = _draw(args.nodes, args.cycles, args.seed)
+    write = sys.stdout.write
+    # Lines go out joined, 1024 per write, straight from the node ids, so
+    # that neither a label pair per edge nor the whole text is held.
+    for i in range(0, len(edges), 1024):
+        write("".join([f"v{t} v{h}\n" for t, h in edges[i : i + 1024]]))
     return 0
 
 

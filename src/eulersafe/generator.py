@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from typing import Optional, Union
+from typing import Union
 
 from .graph import GraphError
 
@@ -10,9 +10,9 @@ from .graph import GraphError
 MAX_ATTEMPTS = 1000
 # Bound on num_nodes * num_cycles, the most edges a draw can have (a draw
 # averages about half of it). `gen 2000 1000` draws 999,863 edges and peaks
-# at 182 MB, `gen 4000 1000` 1,996,289 edges and 352 MB, so about 175
+# at 133 MB, `gen 4000 1000` 1,996,289 edges and 255 MB, so about 128
 # bytes per edge (Python 3.11, x86-64 Linux): at the bound a draw peaks
-# near 350 MB, and at most near 700 MB. Beyond it, drawing is refused
+# near 255 MB, and at most near 500 MB. Beyond it, drawing is refused
 # rather than run until memory runs out.
 MAX_GEN_EDGES = 4_000_000
 
@@ -32,6 +32,16 @@ def random_eulerian_edges(
     with :class:`GraphError`. Deterministic for a fixed seed. Nodes are
     labeled v0..v{n-1}; only nodes on some cycle appear.
     """
+    # One label string per node, shared by all its edges.
+    names = [f"v{i}" for i in range(num_nodes)]
+    return [(names[t], names[h]) for t, h in _draw(num_nodes, num_cycles, seed)]
+
+
+def _draw(
+    num_nodes: int, num_cycles: int, seed: Union[int, random.Random, None]
+) -> list[tuple[int, int]]:
+    """The edges of :func:`random_eulerian_edges` as (tail, head) node ids,
+    node i being v{i}."""
     if num_nodes < 2:
         raise GraphError("need at least 2 nodes to draw a simple cycle")
     if num_cycles < 1:
@@ -50,9 +60,7 @@ def random_eulerian_edges(
             for i in range(k):
                 edges.append((nodes[i], nodes[(i + 1) % k]))
         if _weakly_connected(edges):
-            # One label string per node, shared by all its edges.
-            names = [f"v{i}" for i in range(num_nodes)]
-            return [(names[t], names[h]) for t, h in edges]
+            return edges
     raise GraphError(f"could not draw a weakly connected graph in {MAX_ATTEMPTS} attempts")
 
 
@@ -71,8 +79,3 @@ def _weakly_connected(edges: list[tuple[int, int]]) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(adjacency)
-
-
-def edge_list_text(edges: list[tuple[str, str]]) -> str:
-    """Serialize edges in the package's line-oriented input format."""
-    return "".join(f"{t} {h}\n" for t, h in edges)

@@ -53,7 +53,6 @@ class CountReport(NamedTuple):
     epsilon: int
     t: int
     degree_factorial_product: int
-    root: str
 
 
 class IntersectionGraph(NamedTuple):
@@ -394,15 +393,13 @@ def count_by_states(g: Graph) -> int:
     return ways[0]
 
 
-def count_arborescences(g: Graph, root: str) -> int:
-    """Number of spanning trees directed toward ``root``.
+def count_arborescences(g: Graph) -> int:
+    """Number of spanning trees directed toward node 0. In an Eulerian
+    graph every node has the same number, the ``t`` of the BEST theorem.
 
-    Matrix-tree: determinant of the out-degree Laplacian with the root's
-    row and column deleted, evaluated exactly over the integers.
+    Matrix-tree: determinant of the out-degree Laplacian with node 0's row
+    and column deleted, evaluated exactly over the integers.
     """
-    r = g.index.get(root)
-    if r is None:
-        raise ContractError(f"node '{root}' is not in the graph")
     n = g.num_nodes
     lap = [[0] * n for _ in range(n)]
     for e in range(g.num_edges):
@@ -410,12 +407,7 @@ def count_arborescences(g: Graph, root: str) -> int:
         h = g.heads[e]
         lap[t][t] += 1
         lap[t][h] -= 1
-    minor = [
-        [lap[i][j] for j in range(n) if j != r]
-        for i in range(n)
-        if i != r
-    ]
-    return _bareiss_determinant(minor)
+    return _bareiss_determinant([row[1:] for row in lap[1:]])
 
 
 def require_best_size(g: Graph) -> None:
@@ -446,17 +438,11 @@ def count_best(g: Graph) -> CountReport:
     degree 1, whose factor is 0! = 1.
     """
     _require_eulerian(g)
-    root = g.labels[0]
-    t = count_arborescences(g, root)
+    t = count_arborescences(g)
     product = 1
     for start, end in zip(g.off, g.out_end):
         product *= factorial(end - start - 1)
-    return CountReport(
-        epsilon=t * product,
-        t=t,
-        degree_factorial_product=product,
-        root=root,
-    )
+    return CountReport(epsilon=t * product, t=t, degree_factorial_product=product)
 
 
 def _takes(g: Graph, e: int, f: int) -> bool:
@@ -509,11 +495,11 @@ def brute_force_safe_walks(g: Graph) -> SafeWalkReport:
     m = len(base)
     cut_after = [i for i in range(m) if len(_possible_successors(g, base[i])) > 1]
     if not cut_after:
-        return SafeWalkReport(walks=(base,), unique_circuit=True, total_edge_length=m)
+        return SafeWalkReport(walks=(base,), unique_circuit=True)
     twice = base + base
     ends = cut_after[1:] + [cut_after[0] + m]
     walks = sorted(twice[a + 1 : b + 1] for a, b in zip(cut_after, ends))
-    return SafeWalkReport(walks=tuple(walks), unique_circuit=False, total_edge_length=m)
+    return SafeWalkReport(walks=tuple(walks), unique_circuit=False)
 
 
 class ComponentSplit(NamedTuple):

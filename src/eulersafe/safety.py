@@ -39,16 +39,15 @@ class NodeClass(NamedTuple):
 
 
 class SafeWalkReport(NamedTuple):
-    """Maximal safe walks as edge-id sequences, plus conservation metadata.
+    """Maximal safe walks as edge-id sequences.
 
-    Walks are pairwise edge-disjoint and cover every edge, so
-    ``total_edge_length`` always equals |E|. When ``unique_circuit`` is
-    true the single walk is the full circuit (anchored at edge id 0).
+    Walks are pairwise edge-disjoint and cover every edge, so their lengths
+    sum to |E|. When ``unique_circuit`` is true the single walk is the full
+    circuit (anchored at edge id 0).
     """
 
     walks: tuple[tuple[int, ...], ...]
     unique_circuit: bool
-    total_edge_length: int
 
 
 class SafetyEvidence(NamedTuple):
@@ -161,6 +160,8 @@ class SafePairChecker:
         self._a = require_eulerian(g)
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
+        """Does the pair (e1, e2) appear in every Eulerian circuit? ``e1``
+        must end where ``e2`` starts."""
         g = self.g
         m = g.num_edges
         if not (0 <= e1 < m and 0 <= e2 < m):
@@ -183,15 +184,6 @@ class SafePairChecker:
         if cu != cw:
             return SafetyEvidence(True, "cut-split", component_u=cu, component_w=cw)
         return SafetyEvidence(False, "not-in-any-circuit", component_u=cu, component_w=cw)
-
-
-def is_safe_pair(g: Graph, e1: int, e2: int) -> SafetyEvidence:
-    """Does the edge pair (e1, e2) appear in every Eulerian circuit?
-
-    ``e1`` must end where ``e2`` starts. For repeated queries on one graph
-    use :class:`SafePairChecker`, which shares the precomputation.
-    """
-    return SafePairChecker(g).check(e1, e2)
 
 
 def has_unique_eulerian_circuit(g: Graph) -> bool:
@@ -256,5 +248,4 @@ def maximal_safe_walks(
     walks = [tuple(_walk(succ, first)) for first in starts]
     if norm_map is not None and not norm_map.is_identity:
         walks = [norm_map.project(w, circular=unique) for w in walks]
-    total = sum(len(w) for w in walks)
-    return SafeWalkReport(walks=tuple(walks), unique_circuit=unique, total_edge_length=total)
+    return SafeWalkReport(walks=tuple(walks), unique_circuit=unique)

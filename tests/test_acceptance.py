@@ -86,7 +86,7 @@ def test_conservation(corpus_5):
     checked = 0
     for g in corpus_5:
         report = maximal_safe_walks(g)
-        assert report.total_edge_length == g.num_edges
+        assert sum(map(len, report.walks)) == g.num_edges
         assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges))
         checked += 1
     rng = random.Random(20240818)
@@ -94,7 +94,7 @@ def test_conservation(corpus_5):
         edges = random_eulerian_edges(rng.randint(2, 12), rng.randint(1, 4), seed=rng)
         g = Graph(edges)
         report = maximal_safe_walks(g)
-        assert report.total_edge_length == g.num_edges
+        assert sum(map(len, report.walks)) == g.num_edges
         assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges))
         checked += 1
     print(f"\nPASS criterion 4: conservation on {checked} inputs")

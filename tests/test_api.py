@@ -1,6 +1,7 @@
 """The benchmark's per-layer trace and pair script find every public name
-they call, so no per-layer metric goes absent when the API is pruned,
-README names every public name and exactly the command-line options, the
+they call, so no per-layer metric goes absent when the API is pruned, the
+package exports no oracle that the benchmark does not reach, README names
+every public name and exactly the command-line options, the
 oracles import from the package only records, errors and the shared
 determinant, and every table of the analysis pass has a reader."""
 import argparse
@@ -38,6 +39,21 @@ def test_pair_script_names_are_exported():
     }
     assert imported
     assert sorted(imported - set(eulersafe.__all__)) == []
+
+
+def test_exported_oracles_are_the_ones_the_benchmark_reaches():
+    # The rest stay importable from eulersafe.oracles, for oracle-compare
+    # and the tests.
+    reached = {name for step in (*layers.NEEDS.values(), *layers.PEAKS.values()) for name in step}
+    for path in BENCH.glob("*.py"):
+        reached |= {
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.module == "eulersafe"
+            for alias in node.names
+        }
+    exported = {name for name in eulersafe.__all__ if eulersafe._SUBMODULE[name] == "oracles"}
+    assert exported and sorted(exported - reached) == []
 
 
 def test_oracles_import_only_records_errors_and_the_determinant():

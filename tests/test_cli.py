@@ -27,7 +27,7 @@ from eulersafe import (
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, MAX_COUNT_DIGITS
 from eulersafe.cli import WALK_CHUNK
-from eulersafe.generator import edge_list_text, random_eulerian_edges
+from eulersafe.generator import random_eulerian_edges
 from eulersafe.oracles import count_by_states, pevzner_intersection_graph
 from eulersafe.safety import SafeWalkReport
 from test_safety import cycling_successors, raw_multigraphs, ring
@@ -173,7 +173,7 @@ def reference_safe_output(g, fmt: str) -> str:
                 record="header",
                 edges=g.num_edges,
                 walks=len(report.walks),
-                total_length=report.total_edge_length,
+                total_length=sum(map(len, report.walks)),
                 unique=report.unique_circuit,
             )
         ]
@@ -193,7 +193,7 @@ def reference_safe_output(g, fmt: str) -> str:
     lines = [
         f"edges: {g.num_edges}",
         f"maximal safe walks: {len(report.walks)}",
-        f"total length: {report.total_edge_length}",
+        f"total length: {sum(map(len, report.walks))}",
         f"unique circuit: {'yes' if report.unique_circuit else 'no'}",
     ]
     for index, walk in enumerate(report.walks):
@@ -449,7 +449,6 @@ class TestOracleCompare:
             return SafeWalkReport(
                 walks=tuple((e,) for e in range(g.num_edges)),
                 unique_circuit=False,
-                total_edge_length=g.num_edges,
             )
 
         monkeypatch.setattr("eulersafe.safety.maximal_safe_walks", wrong)
@@ -528,22 +527,26 @@ class TestOracleCompare:
         )
 
 
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+# ``python -m eulersafe.cli`` on the package under test.
+CLI = [sys.executable, "-m", "eulersafe.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+
+
 def run_cli(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    """``python -m eulersafe.cli`` in a child limited to 60 s and 2 GiB of
-    address space, so a runaway allocation fails in the child, not the
-    machine. Its stdout goes to ``stdout``, captured by default."""
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+    """The CLI in a child limited to 60 s and 2 GiB of address space, so a
+    runaway allocation fails in the child, not the machine. Its stdout goes
+    to ``stdout``, captured by default."""
     result = subprocess.run(
-        [sys.executable, "-m", "eulersafe.cli", *args],
+        [*CLI, *args],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         timeout=60,
-        env=env,
+        env=CLI_ENV,
         preexec_fn=limit_memory,
     )
     assert "Traceback" not in result.stderr
@@ -627,10 +630,30 @@ class TestLargeAndMalformedInput:
 
     def test_count_of_a_million_edges_is_refused(self, tmp_path):
         # 999,863 edges on 2000 nodes of degree >= 3: one block far above
-        # the determinant bound, refused before any factorial.
+        # the determinant bound, refused before any factorial. gen writes
+        # them holding neither a label pair per edge nor the whole text, so
+        # its child peaks near 133 MB (Python 3.11, x86-64 Linux).
         path = str(tmp_path / "dense.txt")
         with open(path, "w") as handle:
-            assert run_cli("gen", "2000", "1000", "--seed", "7", stdout=handle).returncode == 0
+            gen = subprocess.Popen(
+                [*CLI, "gen", "2000", "1000", "--seed", "7"],
+                stdout=handle,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=CLI_ENV,
+                preexec_fn=limit_memory,
+            )
+            killer = threading.Timer(60, gen.kill)
+            killer.start()
+            try:
+                _, status, usage = os.wait4(gen.pid, 0)
+            finally:
+                killer.cancel()
+        gen.returncode = os.waitstatus_to_exitcode(status)
+        with gen:
+            assert (gen.returncode, gen.stderr.read()) == (0, "")
+        # ru_maxrss is in KiB on Linux.
+        assert usage.ru_maxrss <= 150 * 1024
         result = run_cli("count", path)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: exact count refused")
@@ -1064,7 +1087,7 @@ class TestGen:
     def test_stdout_is_the_library_text(self, capsys):
         assert cli.main(["gen", "4", "2", "--seed", "3"]) == 0
         edges = random_eulerian_edges(4, 2, seed=3)
-        assert capsys.readouterr().out == edge_list_text(edges)
+        assert capsys.readouterr().out == "".join(f"{t} {h}\n" for t, h in edges)
 
     def test_equal_ids_share_one_label(self):
         edges = random_eulerian_edges(30, 20, seed=5)

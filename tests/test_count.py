@@ -11,13 +11,13 @@ from eulersafe import (
     Graph,
     component_split,
     count_best,
-    count_by_states,
     count_circuits,
     is_eulerian,
     normalize,
     underlying_undirected,
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, edge_blocks
+from eulersafe.oracles import count_by_states
 
 
 def brute_force_blocks(g: Graph) -> list[int]:

@@ -20,7 +20,6 @@ from eulersafe import (
     count_circuits,
     has_unique_eulerian_circuit,
     is_eulerian,
-    is_valid_walk,
     maximal_safe_walks,
     normalize,
     parse_edge_list,
@@ -28,6 +27,7 @@ from eulersafe import (
 )
 from eulersafe import cli, graph
 from eulersafe.circuit import find_eulerian_circuit
+from eulersafe.graph import is_valid_walk
 from eulersafe.oracles import _require_eulerian, _rewritten_edges
 from test_cli import cactus_edges
 

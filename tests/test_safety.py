@@ -12,12 +12,11 @@ from eulersafe import (
     classify_nodes,
     has_unique_eulerian_circuit,
     is_eulerian,
-    is_safe_pair,
-    is_valid_walk,
     maximal_safe_walks,
     normalize,
 )
 from eulersafe import safety
+from eulersafe.graph import is_valid_walk
 from eulersafe.oracles import (
     _possible_successors,
     brute_force_safe_walks,
@@ -77,12 +76,12 @@ class TestClassifyNodes:
 
 class TestSafePair:
     def test_degree_one(self, triangle):
-        evidence = is_safe_pair(triangle, 0, 1)
+        evidence = SafePairChecker(triangle).check(0, 1)
         assert evidence.safe
         assert evidence.reason == "degree-one"
 
     def test_cut_split(self, figure_eight):
-        evidence = is_safe_pair(figure_eight, 2, 3)
+        evidence = SafePairChecker(figure_eight).check(2, 3)
         assert evidence.safe
         assert evidence.reason == "cut-split"
         assert evidence.component_u != evidence.component_w
@@ -91,18 +90,18 @@ class TestSafePair:
         assert evidence == SafetyEvidence(True, "cut-split", 0, 1)
 
     def test_same_side_of_cut(self, figure_eight):
-        evidence = is_safe_pair(figure_eight, 2, 0)
+        evidence = SafePairChecker(figure_eight).check(2, 0)
         assert not evidence.safe
         assert evidence.reason == "not-in-any-circuit"
         assert evidence.component_u == evidence.component_w
 
     def test_degree_too_high(self, three_triangles):
-        evidence = is_safe_pair(three_triangles, 2, 3)
+        evidence = SafePairChecker(three_triangles).check(2, 3)
         assert not evidence.safe
         assert evidence.reason == "degree-too-high"
 
     def test_degree_two_non_cut(self, bidirected_triangle):
-        evidence = is_safe_pair(bidirected_triangle, 0, 2)
+        evidence = SafePairChecker(bidirected_triangle).check(0, 2)
         assert not evidence.safe
         assert evidence.reason == "not-forced"
 
@@ -116,15 +115,15 @@ class TestSafePair:
         assert two_loops.check(0, 1) == SafetyEvidence(True, "cut-split", 0, 1)
 
     def test_edges_missing(self, triangle):
-        evidence = is_safe_pair(triangle, 0, 9)
+        evidence = SafePairChecker(triangle).check(0, 9)
         assert not evidence.safe
         assert evidence.reason == "edges-missing"
 
     def test_contract_violations(self, triangle):
         with pytest.raises(ContractError, match="distinct"):
-            is_safe_pair(triangle, 1, 1)
+            SafePairChecker(triangle).check(1, 1)
         with pytest.raises(ContractError, match="not consecutive"):
-            is_safe_pair(triangle, 0, 2)
+            SafePairChecker(triangle).check(0, 2)
 
     def test_checker_batches_queries(self, figure_eight):
         checker = SafePairChecker(figure_eight)
@@ -216,25 +215,25 @@ class TestMaximalSafeWalks:
         report = maximal_safe_walks(figure_eight)
         assert report.unique_circuit
         assert report.walks == ((0, 1, 2, 3, 4, 5),)
-        assert report.total_edge_length == 6
+        assert sum(map(len, report.walks)) == 6
 
     def test_three_triangles_cut_at_center(self, three_triangles):
         report = maximal_safe_walks(three_triangles)
         assert not report.unique_circuit
         assert report.walks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-        assert report.total_edge_length == 9
+        assert sum(map(len, report.walks)) == 9
 
     def test_bidirected_triangle_single_edges(self, bidirected_triangle):
         report = maximal_safe_walks(bidirected_triangle)
         assert sorted(report.walks) == [(e,) for e in range(6)]
-        assert report.total_edge_length == 6
+        assert sum(map(len, report.walks)) == 6
 
     def test_walks_partition_edges(self, corpus_4):
         for g in corpus_4[::3]:
             report = maximal_safe_walks(g)
             covered = sorted(e for w in report.walks for e in w)
             assert covered == list(range(g.num_edges))
-            assert report.total_edge_length == g.num_edges
+            assert sum(map(len, report.walks)) == g.num_edges
             for w in report.walks:
                 assert is_valid_walk(g, w)
 
@@ -269,7 +268,7 @@ class TestMaximalSafeWalks:
         ng, nm = normalize(g)
         report = maximal_safe_walks(ng, norm_map=nm)
         assert sorted(report.walks) == [(0,), (1,), (2,), (3,)]
-        assert report.total_edge_length == 4
+        assert sum(map(len, report.walks)) == 4
         assert not report.unique_circuit
 
     def test_unique_multigraph_projection(self):
@@ -279,7 +278,7 @@ class TestMaximalSafeWalks:
         assert report.unique_circuit
         assert len(report.walks) == 1
         assert sorted(report.walks[0]) == [0, 1, 2]
-        assert report.total_edge_length == 3
+        assert sum(map(len, report.walks)) == 3
 
 
 def ring(length: int, through: str = "h") -> list[tuple[str, str]]:
@@ -307,7 +306,7 @@ class TestLongWalks:
         report = maximal_safe_walks(g)
         assert not report.unique_circuit
         assert report.walks == ((0, 1), tuple(range(2, length + 2)), (length + 2, length + 3))
-        assert report.total_edge_length == g.num_edges
+        assert sum(map(len, report.walks)) == g.num_edges
 
     def test_walk_is_an_int_array(self, length):
         # 4 bytes per edge at every length, never a list: the unique ring,

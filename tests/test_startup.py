@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import eulersafe
-from eulersafe import Circuit, ComponentSplit, EulerCheck, SafetyEvidence, SafeWalkReport
+from eulersafe import Circuit, EulerCheck, SafetyEvidence, SafeWalkReport
+from eulersafe.oracles import ComponentSplit
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
@@ -106,7 +107,7 @@ def test_records_replace_and_stay_immutable():
     assert not EulerCheck(False, "unbalanced")
     assert EulerCheck(True)
     assert repr(EulerCheck(True)) == "EulerCheck(ok=True, reason=None, witness=None, detail=None)"
-    report = SafeWalkReport(walks=((0,),), unique_circuit=False, total_edge_length=1)
+    report = SafeWalkReport(walks=((0,),), unique_circuit=False)
     assert report._replace(unique_circuit=True).unique_circuit
     assert SafetyEvidence(True, "degree-one") == (True, "degree-one", None, None)
     split = ComponentSplit(removed="v", component={"a": 0}, count=1)
