@@ -43,7 +43,6 @@ _SUBMODULE = {
     "parse_edge_list": "graph",
     "random_eulerian_edges": "generator",
     "underlying_undirected": "graph",
-    "verify_circuit": "circuit",
     "walk_nodes": "graph",
 }
 

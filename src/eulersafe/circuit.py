@@ -92,12 +92,13 @@ def edge_blocks(g: Graph) -> tuple[array, int]:
     Returns ``(block, count)``: ``block[e]`` in ``0..count-1`` for each
     non-loop edge id ``e`` and -1 for a self-loop, which belongs to no
     block. An edge lies in the block that the larger of its two ends'
-    labels names (see :class:`~eulersafe.graph.Analysis`), tree edges and
+    labels names (see :func:`~eulersafe.graph._analyse`), tree edges and
     back edges alike; block ids number those labels in increasing order.
     ``block`` is an ``array("i")``. Raises :class:`ContractError` if ``g`` is not Eulerian.
     """
-    label = require_eulerian(g).block
-    # Node 0, the root, keeps -1; ids[d] counts the labels below d.
+    label = require_eulerian(g)
+    # The root, node 0, shares its first child's label or, alone, names no
+    # block, so it is skipped; ids[d] counts the labels below d.
     opened = bytearray(len(label))
     for d in label[1:]:
         opened[d] = 1

@@ -242,12 +242,12 @@ def cmd_oracle_compare(args) -> int:
 def cmd_gen(args) -> int:
     from .generator import _draw
 
-    edges = _draw(args.nodes, args.cycles, args.seed)
+    tails, heads = _draw(args.nodes, args.cycles, args.seed)
     write = sys.stdout.write
     # Lines go out joined, 1024 per write, straight from the node ids, so
     # that neither a label pair per edge nor the whole text is held.
-    for i in range(0, len(edges), 1024):
-        write("".join([f"v{t} v{h}\n" for t, h in edges[i : i + 1024]]))
+    for i in range(0, len(tails), 1024):
+        write("".join([f"v{t} v{h}\n" for t, h in zip(tails[i : i + 1024], heads[i : i + 1024])]))
     return 0
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Union
 
 from .graph import GraphError
@@ -9,11 +10,11 @@ from .graph import GraphError
 # Draws of the whole cycle set before random_eulerian_edges gives up.
 MAX_ATTEMPTS = 1000
 # Bound on num_nodes * num_cycles, the most edges a draw can have (a draw
-# averages about half of it). `gen 2000 1000` draws 999,863 edges and peaks
-# at 133 MB, `gen 4000 1000` 1,996,289 edges and 255 MB, so about 128
-# bytes per edge (Python 3.11, x86-64 Linux): at the bound a draw peaks
-# near 255 MB, and at most near 500 MB. Beyond it, drawing is refused
-# rather than run until memory runs out.
+# averages about half of it). An edge takes 8 bytes: `gen 2000 1000` draws
+# 999,863 edges and peaks at 22 MB, `gen 4000 1000` 1,996,289 and 30 MB
+# (Python 3.11, x86-64 Linux). A draw also holds one cycle's node list: the
+# one cycle of `gen 4000000 1` peaks at 193 MB. Beyond the bound, drawing
+# is refused rather than run until memory runs out.
 MAX_GEN_EDGES = 4_000_000
 
 
@@ -34,14 +35,14 @@ def random_eulerian_edges(
     """
     # One label string per node, shared by all its edges.
     names = [f"v{i}" for i in range(num_nodes)]
-    return [(names[t], names[h]) for t, h in _draw(num_nodes, num_cycles, seed)]
+    return [(names[t], names[h]) for t, h in zip(*_draw(num_nodes, num_cycles, seed))]
 
 
 def _draw(
     num_nodes: int, num_cycles: int, seed: Union[int, random.Random, None]
-) -> list[tuple[int, int]]:
-    """The edges of :func:`random_eulerian_edges` as (tail, head) node ids,
-    node i being v{i}."""
+) -> tuple[array, array]:
+    """The edges of :func:`random_eulerian_edges` as two ``array("i")``
+    columns, tail and head node ids, node i being v{i}: 8 bytes per edge."""
     if num_nodes < 2:
         raise GraphError("need at least 2 nodes to draw a simple cycle")
     if num_cycles < 1:
@@ -53,29 +54,37 @@ def _draw(
         )
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
-        edges: list[tuple[int, int]] = []
+        tails = array("i")
+        heads = array("i")
+        # A union-find over node ids, -1 for a node on no cycle yet; each
+        # cycle joins its nodes, and the draw is weakly connected iff its
+        # nodes end in one set.
+        parent = array("i", [-1]) * num_nodes
+        sets = 0
         for _ in range(num_cycles):
             k = rng.randint(2, num_nodes)
             nodes = rng.sample(range(num_nodes), k)
-            for i in range(k):
-                edges.append((nodes[i], nodes[(i + 1) % k]))
-        if _weakly_connected(edges):
-            return edges
+            tails.extend(nodes)
+            heads.extend(nodes[1:] + nodes[:1])
+            if parent[nodes[0]] < 0:
+                parent[nodes[0]] = nodes[0]
+                sets += 1
+            root = _find(parent, nodes[0])
+            for v in nodes:
+                if parent[v] < 0:
+                    parent[v] = root
+                else:
+                    r = _find(parent, v)
+                    if r != root:
+                        parent[r] = root
+                        sets -= 1
+        if sets == 1:
+            return tails, heads
     raise GraphError(f"could not draw a weakly connected graph in {MAX_ATTEMPTS} attempts")
 
 
-def _weakly_connected(edges: list[tuple[int, int]]) -> bool:
-    adjacency: dict[int, list[int]] = {}
-    for t, h in edges:
-        adjacency.setdefault(t, []).append(h)
-        adjacency.setdefault(h, []).append(t)
-    start = edges[0][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adjacency)
+def _find(parent: array, v: int) -> int:
+    """The root of ``v``'s set, halving the path to it on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v

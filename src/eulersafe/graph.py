@@ -8,16 +8,17 @@ by those ids. Self-loops and parallel edges are ordinary edges.
 A :class:`Graph` holds one adjacency structure, an incidence CSR whose
 out-edge part serves directed walks and whose two parts together are the
 underlying undirected graph. :func:`_analyse` is the one traversal: a
-balance scan, then one lowlink DFS that yields connectivity, cut nodes
-and block labels. :func:`is_eulerian`, :func:`require_eulerian` and
-through them every analysis in the package run it once per call.
+balance scan, then one lowlink DFS that yields connectivity and block
+labels; cut nodes, forcing and sides are read off the labels.
+:func:`is_eulerian`, :func:`require_eulerian` and through them every
+analysis in the package run it once per call.
 """
 from __future__ import annotations
 
 from array import array
 from codecs import getincrementaldecoder
 from io import IncrementalNewlineDecoder
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -301,31 +302,9 @@ class EulerCheck(NamedTuple):
         return self.ok
 
 
-class Analysis(NamedTuple):
-    """Result of the one analysis pass over a graph.
-
-    ``check`` is the Euler verdict. When it holds, the other two fields
-    describe the lowlink DFS of the underlying undirected graph from node
-    0, per node id. ``block[v]`` labels the biconnected block of v's tree
-    edge by the discovery time of the node whose tree edge opens that
-    block; the root, which has no tree edge, keeps -1. A non-loop edge lies
-    in the block labelled by the larger of its two ends' labels, tree edges
-    and back edges alike. ``cut[v]`` is 1 if v is a cut node, else 0.
-    ``block`` is an ``array("i")`` and ``cut`` a ``bytearray``, so that no
-    object is held per node. When the check fails both are empty.
-    """
-
-    check: EulerCheck
-    block: array
-    cut: bytearray
-
-
-def _failed(check: EulerCheck) -> Analysis:
-    return Analysis(check, array("i"), bytearray())
-
-
-def _analyse(g: Graph) -> Analysis:
-    """The one validation-and-analysis pass, O(|E|).
+def _analyse(g: Graph) -> tuple[EulerCheck, array]:
+    """The one validation-and-analysis pass, O(|E|): the Euler verdict and
+    the block labels, an ``array("i")`` by node id, empty if the check fails.
 
     First the balance scan: the first node in id order whose out-degree
     differs from its in-degree fails the check. Then one iterative lowlink
@@ -335,9 +314,12 @@ def _analyse(g: Graph) -> Analysis:
     parallel copy of the tree edge acts as a back edge and a doubled edge
     never separates its endpoints. Discovered nodes wait on a member stack;
     when a child's tree edge opens a block, the members down to that child
-    take its discovery time as their label. A non-root node is a cut node
-    iff some child opens a block below it; the root iff its non-loop
-    neighbours carry more than one label, one per child.
+    take its discovery time as their label; the root keeps label 1, that of
+    its first child's block and the smallest. A non-loop edge lies in the
+    block that the larger of its two ends' labels names, tree edges and
+    back edges alike. So an edge to a neighbour with a larger label than
+    v's leaves v's own block, and v is a cut node iff it has such a
+    neighbour.
     """
     n = g.num_nodes
     off = g.off
@@ -345,12 +327,11 @@ def _analyse(g: Graph) -> Analysis:
     for v, (start, mid, stop) in enumerate(zip(off, g.out_end, off[1:])):
         if mid - start != stop - mid:
             detail = f"node '{labels[v]}' has out-degree {mid - start} and in-degree {stop - mid}"
-            return _failed(EulerCheck(False, "unbalanced", labels[v], detail))
+            return EulerCheck(False, "unbalanced", labels[v], detail), array("i")
     nbr = g.nbr
     eid = g.eid
     disc = [-1] * n
-    block = array("i", [-1]) * n
-    cut = bytearray(n)
+    block = array("i", [1]) * n
     members: list[int] = []
     # Every ancestor of the running node waits on the stack as (node, next
     # entry to scan, lowlink so far, edge used to enter it). The running
@@ -374,7 +355,6 @@ def _analyse(g: Graph) -> Analysis:
             child_low = lv
             p, i, lv, entered = stack.pop()
             if child_low >= disc[p]:
-                cut[p] = 1
                 dv = disc[v]
                 while True:
                     x = members.pop()
@@ -394,9 +374,8 @@ def _analyse(g: Graph) -> Analysis:
     if timer != n:
         witness = labels[disc.index(-1)]
         detail = f"node '{witness}' is not reachable from '{labels[0]}' ignoring directions"
-        return _failed(EulerCheck(False, "not-weakly-connected", witness, detail))
-    cut[0] = len({block[w] for w in nbr[off[0] : off[1]] if w}) > 1
-    return Analysis(EulerCheck(True), block, cut)
+        return EulerCheck(False, "not-weakly-connected", witness, detail), array("i")
+    return EulerCheck(True), block
 
 
 def is_eulerian(g: Graph) -> EulerCheck:
@@ -406,22 +385,35 @@ def is_eulerian(g: Graph) -> EulerCheck:
     all edges lie in one weakly connected component. On failure the first
     violated condition is named together with a witness node.
     """
-    return _analyse(g).check
+    return _analyse(g)[0]
 
 
-def require_eulerian(g: Graph) -> Analysis:
-    """Run the analysis pass; raise :class:`ContractError` naming the failed
+def require_eulerian(g: Graph) -> array:
+    """Run the analysis pass and return its block labels (see
+    :func:`_analyse`); raise :class:`ContractError` naming the failed
     condition if the graph is not Eulerian."""
-    analysis = _analyse(g)
-    if not analysis.check.ok:
-        raise ContractError(f"graph is not Eulerian: {analysis.check.detail}")
-    return analysis
+    check, block = _analyse(g)
+    if not check.ok:
+        raise ContractError(f"graph is not Eulerian: {check.detail}")
+    return block
+
+
+def _cut_nodes(g: Graph, block: array) -> bytearray:
+    """1 for every cut node id, else 0, from the block labels of the
+    analysis pass: of an edge whose two ends carry different labels, the
+    end with the smaller label is a cut node, and every cut node is one."""
+    cut = bytearray(g.num_nodes)
+    label = block.tolist()
+    for t, h in zip(g.tails, g.heads):
+        if label[t] != label[h]:
+            cut[t if label[t] < label[h] else h] = 1
+    return cut
 
 
 def articulation_points(g: Graph) -> set[str]:
     """Labels of exactly the nodes whose removal disconnects the underlying
     undirected graph of the Eulerian graph ``g``."""
-    return {label for label, cut in zip(g.labels, require_eulerian(g).cut) if cut}
+    return set(compress(g.labels, _cut_nodes(g, require_eulerian(g))))
 
 
 def underlying_undirected(g: Graph) -> Graph:

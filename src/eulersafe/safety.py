@@ -10,7 +10,8 @@ Multigraphs are analysed as they are. A parallel copy of an edge never
 separates its endpoints, so the cut test needs no change for it. A
 self-loop at a degree-2 node is a side of its own: the circuit must leave
 the rest of the graph, take the loop and come back, exactly as at a cut
-node.
+node. :func:`_sides` is the one degree-2 test: it reads the loop, or the
+two sides of a cut node, off the block labels of the analysis pass.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import compress, count
 from operator import not_, sub
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .graph import Analysis, ContractError, Graph, require_eulerian
+from .graph import ContractError, Graph, _cut_nodes, require_eulerian
 
 if TYPE_CHECKING:
     from .oracles import NormalizationMap
@@ -72,41 +73,36 @@ class SafetyEvidence(NamedTuple):
     component_w: Optional[int] = None
 
 
-def _forcing(g: Graph) -> tuple[Analysis, array, bytearray]:
-    """The analysis pass, then the degree and the forcing flag (1 or 0) of
-    every node id, with no object held per node. Raises
-    :class:`ContractError` if ``g`` is not Eulerian."""
-    a = require_eulerian(g)
-    off = g.off
-    nbr = g.nbr
-    degrees = array("i", map(sub, g.out_end, off))
-    cut = a.cut
-    # At a degree-2 node the out part is off[v], off[v] + 1; a loop there
-    # has the node itself as the other end.
+def _forcing(g: Graph) -> tuple[array, array, bytearray]:
+    """The block labels of the analysis pass, then the degree and the
+    forcing flag (1 or 0) of every node id, with no object held per node.
+    Raises :class:`ContractError` if ``g`` is not Eulerian."""
+    block = require_eulerian(g)
+    degrees = array("i", map(sub, g.out_end, g.off))
     flags = bytearray(
-        d == 1 or (d == 2 and (cut[v] == 1 or nbr[off[v]] == v or nbr[off[v] + 1] == v))
-        for v, d in enumerate(degrees)
+        d == 1 or (d == 2 and _sides(g, block, v) is not None) for v, d in enumerate(degrees)
     )
-    return a, degrees, flags
+    return block, degrees, flags
 
 
 def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     """Degree, cut-node status and forcing membership for every node."""
-    a, degrees, flags = _forcing(g)
+    block, degrees, flags = _forcing(g)
+    cut = _cut_nodes(g, block)
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=a.cut[v] == 1, in_a=flags[v] == 1)
+        label: NodeClass(label=label, degree=degrees[v], is_cut=cut[v] == 1, in_a=flags[v] == 1)
         for v, label in enumerate(g.labels)
     }
 
 
-def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
+def _sides(g: Graph, block: array, v: int) -> Optional[tuple[int, int]]:
     """Side 1 of the degree-2 node ``v`` as its ``(out-edge, in-edge)``, or
     None when ``v`` does not force; the other two edges at ``v`` are side 0.
 
     With a self-loop, side 1 is v's last loop, given as both edges. Without
-    one, ``v`` forces only as a cut node and lies in two blocks; side 1 is
-    the two edges whose other ends carry the larger label, which names the
-    later-opened block (see :class:`~eulersafe.graph.Analysis`).
+    one, ``v`` forces only as a cut node: side 1 is the out-edge and the
+    in-edge whose other ends carry a label larger than v's, which leave
+    v's own block (see :func:`~eulersafe.graph._analyse`).
     """
     nbr = g.nbr
     eid = g.eid
@@ -116,15 +112,15 @@ def _sides(g: Graph, a: Analysis, v: int) -> Optional[tuple[int, int]]:
     for i in (start + 1, start):
         if nbr[i] == v:
             return eid[i], eid[i]
-    if not a.cut[v]:
-        return None
-    block = a.block
+    own = block[v]
     # Each side of a cut node is balanced: one out-edge, one in-edge.
-    out1 = eid[start] if block[nbr[start]] > block[nbr[start + 1]] else eid[start + 1]
-    return out1, eid[start + 2] if block[nbr[start + 2]] > block[nbr[start + 3]] else eid[start + 3]
+    for i in (start, start + 1):
+        if block[nbr[i]] > own:
+            return eid[i], eid[start + 2] if block[nbr[start + 2]] > own else eid[start + 3]
+    return None
 
 
-def _forced_successors(g: Graph, a: Analysis, in_a: bytearray) -> array:
+def _forced_successors(g: Graph, block: array, in_a: bytearray) -> array:
     """``succ[e]``, the out-edge every circuit takes after ``e``, or -1 where
     the head of ``e`` is not forcing: the only out-edge at degree 1, the
     out-edge on the other side at degree 2."""
@@ -140,7 +136,7 @@ def _forced_successors(g: Graph, a: Analysis, in_a: bytearray) -> array:
         if mid - start == 1:
             succ[eid[mid]] = eid[start]
             continue
-        out1, in1 = _sides(g, a, v)
+        out1, in1 = _sides(g, block, v)
         # Each side's in-edge goes on to the other side's out-edge.
         succ[eid[mid] if eid[mid + 1] == in1 else eid[mid + 1]] = out1
         succ[in1] = eid[start] if eid[start + 1] == out1 else eid[start + 1]
@@ -157,17 +153,15 @@ class SafePairChecker:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._a = require_eulerian(g)
+        self._block = require_eulerian(g)
 
     def check(self, e1: int, e2: int) -> SafetyEvidence:
         """Does the pair (e1, e2) appear in every Eulerian circuit? ``e1``
-        must end where ``e2`` starts."""
+        must end where ``e2`` starts; a self-loop may pair with itself."""
         g = self.g
         m = g.num_edges
         if not (0 <= e1 < m and 0 <= e2 < m):
             return SafetyEvidence(False, "edges-missing")
-        if e1 == e2:
-            raise ContractError("the two edges of a pair must be distinct")
         if g.heads[e1] != g.tails[e2]:
             raise ContractError("edges are not consecutive: head of the first must be tail of the second")
         v = g.heads[e1]
@@ -176,7 +170,7 @@ class SafePairChecker:
             return SafetyEvidence(True, "degree-one")
         if d >= 3:
             return SafetyEvidence(False, "degree-too-high")
-        sides = _sides(g, self._a, v)
+        sides = _sides(g, self._block, v)
         if sides is None:
             return SafetyEvidence(False, "not-forced")
         out1, in1 = sides
@@ -202,8 +196,8 @@ def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
     one. A start whose successor is -1 is a one-edge walk. If every node is
     forcing the one walk is the whole circuit, from edge id 0.
     """
-    a, degrees, in_a = _forcing(g)
-    succ = _forced_successors(g, a, in_a)
+    block, degrees, in_a = _forcing(g)
+    succ = _forced_successors(g, block, in_a)
     # One walk per start: per out-edge of every non-forcing node.
     number = sum(compress(degrees, map(not_, in_a)))
     if not number:

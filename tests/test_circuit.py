@@ -6,8 +6,8 @@ from eulersafe import (
     ContractError,
     Graph,
     find_eulerian_circuit,
-    verify_circuit,
 )
+from eulersafe.circuit import verify_circuit
 
 
 class TestFindEulerianCircuit:

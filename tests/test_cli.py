@@ -534,6 +534,7 @@ def limit_memory():
 # ``python -m eulersafe.cli`` on the package under test.
 CLI = [sys.executable, "-m", "eulersafe.cli"]
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+SPAWN = Path(__file__).resolve().parents[1] / "bench" / "spawn.py"
 
 
 def run_cli(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
@@ -630,30 +631,30 @@ class TestLargeAndMalformedInput:
 
     def test_count_of_a_million_edges_is_refused(self, tmp_path):
         # 999,863 edges on 2000 nodes of degree >= 3: one block far above
-        # the determinant bound, refused before any factorial. gen writes
-        # them holding neither a label pair per edge nor the whole text, so
-        # its child peaks near 133 MB (Python 3.11, x86-64 Linux).
+        # the determinant bound, refused before any factorial. gen holds
+        # two int arrays, not an object per edge, so it peaks near 22 MB
+        # (Python 3.11, x86-64 Linux). On Linux a child's ru_maxrss starts
+        # from the size of the process that forked it, so bench/spawn.py,
+        # which holds nothing, starts gen and reads its peak.
         path = str(tmp_path / "dense.txt")
-        with open(path, "w") as handle:
-            gen = subprocess.Popen(
-                [*CLI, "gen", "2000", "1000", "--seed", "7"],
-                stdout=handle,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=CLI_ENV,
-                preexec_fn=limit_memory,
-            )
-            killer = threading.Timer(60, gen.kill)
-            killer.start()
-            try:
-                _, status, usage = os.wait4(gen.pid, 0)
-            finally:
-                killer.cancel()
-        gen.returncode = os.waitstatus_to_exitcode(status)
-        with gen:
-            assert (gen.returncode, gen.stderr.read()) == (0, "")
-        # ru_maxrss is in KiB on Linux.
-        assert usage.ru_maxrss <= 150 * 1024
+        errors = tmp_path / "gen.err"
+        request = {
+            "args": [*CLI, "gen", "2000", "1000", "--seed", "7"],
+            "stdout": path,
+            "stderr": str(errors),
+            "timeout": 60,
+        }
+        launcher = subprocess.run(
+            [sys.executable, str(SPAWN)],
+            input=json.dumps(request) + "\n",
+            capture_output=True,
+            text=True,
+            env=CLI_ENV,
+            preexec_fn=limit_memory,
+        )
+        reply = json.loads(launcher.stdout)
+        assert (reply["code"], errors.read_text()) == (0, "")
+        assert reply["maxrss_mb"] <= 40
         result = run_cli("count", path)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr.startswith("error: exact count refused")

@@ -60,8 +60,9 @@ class TestArticulationPoints:
         assert articulation_points(underlying_undirected(g)) == {"b", "c"}
 
     def test_root_with_two_children(self):
-        # First-inserted node sits between the two halves, exercising the
-        # DFS root rule.
+        # First-inserted node sits between the two halves: the DFS root,
+        # labelled as its first child's block, sees the second's larger
+        # label.
         g = Graph(
             [("v", "a"), ("a", "b"), ("b", "v"), ("v", "c"), ("c", "d"), ("d", "v")]
         )

@@ -13,9 +13,9 @@ from eulersafe import (
     Graph,
     count_circuits,
     has_unique_eulerian_circuit,
-    verify_circuit,
 )
 from eulersafe import graph, oracles
+from eulersafe.circuit import verify_circuit
 from eulersafe.oracles import (
     _bareiss_determinant,
     brute_force_safe_walks,

@@ -113,6 +113,14 @@ class TestSafePair:
         assert checker.check(2, 1) == SafetyEvidence(False, "not-in-any-circuit", 0, 0)
         two_loops = SafePairChecker(Graph([("a", "a")] * 2))
         assert two_loops.check(0, 1) == SafetyEvidence(True, "cut-split", 0, 1)
+        # A loop is consecutive with itself; only a lone loop repeats.
+        assert checker.check(0, 0) == SafetyEvidence(False, "not-in-any-circuit", 1, 1)
+        assert two_loops.check(0, 0) == SafetyEvidence(False, "not-in-any-circuit", 0, 0)
+        assert two_loops.check(1, 1) == SafetyEvidence(False, "not-in-any-circuit", 1, 1)
+        one_loop = SafePairChecker(Graph([("a", "a")]))
+        assert one_loop.check(0, 0) == SafetyEvidence(True, "degree-one")
+        three_loops = SafePairChecker(Graph([("a", "a")] * 3))
+        assert three_loops.check(1, 1) == SafetyEvidence(False, "degree-too-high")
 
     def test_edges_missing(self, triangle):
         evidence = SafePairChecker(triangle).check(0, 9)
@@ -120,7 +128,7 @@ class TestSafePair:
         assert evidence.reason == "edges-missing"
 
     def test_contract_violations(self, triangle):
-        with pytest.raises(ContractError, match="distinct"):
+        with pytest.raises(ContractError, match="not consecutive"):
             SafePairChecker(triangle).check(1, 1)
         with pytest.raises(ContractError, match="not consecutive"):
             SafePairChecker(triangle).check(0, 2)
@@ -415,22 +423,6 @@ def test_walks_are_maximal_chains_of_safe_pairs():
                     assert not checker.check(last, e2).safe, (edges, last, e2)
 
 
-def test_forcing_flag_is_a_side_split(corpus_5):
-    """``_forcing`` sets a degree-2 node's flag from its loops and cut flag,
-    and ``_sides`` reads the same two to split it: the flag is set exactly
-    where ``_sides`` finds side 1."""
-    nodes = 0
-    for g in [*corpus_5, *raw_multigraphs(1000, seed=7)]:
-        a, degrees, flags = safety._forcing(g)
-        for v, d in enumerate(degrees):
-            if d == 2:
-                assert flags[v] == (safety._sides(g, a, v) is not None), (
-                    list(g.edge_pairs()), v,
-                )
-                nodes += 1
-    assert nodes > 10_000
-
-
 def test_side_0_holds_node_0(corpus_5):
     """At a loop-free forcing degree-2 node v, side 0 is the pair whose other
     ends lie in the component of g - v that holds node 0, or, when v is node
@@ -439,10 +431,10 @@ def test_side_0_holds_node_0(corpus_5):
     nodes = 0
     # The de Bruijn graph has one loop-free cut node of degree 2.
     for g in [*corpus_5, *raw_multigraphs(1000, seed=7), Graph(de_bruijn_edges(2, 1000, 12))]:
-        a, degrees, _ = safety._forcing(g)
+        block, degrees, _ = safety._forcing(g)
         checker = SafePairChecker(g)
         for v, d in enumerate(degrees):
-            sides = safety._sides(g, a, v) if d == 2 else None
+            sides = safety._sides(g, block, v) if d == 2 else None
             if sides is None or sides[0] == sides[1]:
                 continue
             out_edges = g.eid[g.off[v] : g.out_end[v]]
@@ -505,24 +497,23 @@ def test_pair_verdicts_match_the_definition(corpus_5):
     """A pair (e, f) is safe exactly when f is the only successor of e that
     some circuit takes, by splicing the pair into one edge, and that f is
     then the forced successor the walks follow. This covers every
-    consecutive pair of two distinct edges, those at nodes of degree 3 or
-    more included, and the safe walks of mid-sized de Bruijn graphs."""
+    consecutive pair, a self-loop with itself and those at nodes of degree
+    3 or more included, and the safe walks of mid-sized de Bruijn graphs."""
     pairs = high = 0
     for g in [*corpus_5, *raw_multigraphs(1000, seed=11)]:
         edges = list(g.edge_pairs())
         checker = SafePairChecker(g)
-        a, _, in_a = safety._forcing(g)
-        forced = safety._forced_successors(g, a, in_a)
+        block, _, in_a = safety._forcing(g)
+        forced = safety._forced_successors(g, block, in_a)
         for e in range(g.num_edges):
             possible = _possible_successors(g, e)
             assert forced[e] == (possible[0] if len(possible) == 1 else -1), (edges, e)
             v = g.heads[e]
             for f in g.eid[g.off[v] : g.out_end[v]]:
-                if f != e:
-                    safe = checker.check(e, f).safe
-                    assert safe == (possible == [f]), (edges, e, f)
-                    pairs += 1
-                    high += g.out_end[v] - g.off[v] >= 3
+                safe = checker.check(e, f).safe
+                assert safe == (possible == [f]), (edges, e, f)
+                pairs += 1
+                high += g.out_end[v] - g.off[v] >= 3
     assert high > 10_000
     for seed, bases, k in [(1, 500, 3), (2, 700, 4), (3, 1000, 5), (4, 1200, 6)]:
         g = Graph(de_bruijn_edges(seed, bases, k))
