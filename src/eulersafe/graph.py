@@ -9,7 +9,8 @@ A :class:`Graph` holds one adjacency structure, an incidence CSR whose
 out-edge part serves directed walks and whose two parts together are the
 underlying undirected graph. :func:`_analyse` is the one traversal: a
 balance scan, then one lowlink DFS that yields connectivity and block
-labels; cut nodes, forcing and sides are read off the labels.
+labels, and runs through each chain of one-in one-out nodes without a
+frame per node; cut nodes, forcing and sides are read off the labels.
 :func:`is_eulerian`, :func:`require_eulerian` and through them every
 analysis in the package run it once per call.
 """
@@ -278,14 +279,12 @@ def _edge_tokens(lines: Iterable[list[str]]) -> Iterator[list[str]]:
     empty = True
     for lineno, raw in enumerate(chain.from_iterable(lines), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ParseError(
-                f"line {lineno}: expected 'tail head', got {len(tokens)} token(s)"
-            )
-        empty = False
-        yield tokens
+        # One test accepts an edge line; blank and comment lines fail both.
+        if len(tokens) == 2 and tokens[0][0] != "#":
+            empty = False
+            yield tokens
+        elif tokens and tokens[0][0] != "#":
+            raise ParseError(f"line {lineno}: expected 'tail head', got {len(tokens)} token(s)")
     if empty:
         raise ParseError("graph must have at least one edge")
 
@@ -320,6 +319,13 @@ def _analyse(g: Graph) -> tuple[EulerCheck, array]:
     back edges alike. So an edge to a neighbour with a larger label than
     v's leaves v's own block, and v is a cut node iff it has such a
     neighbour.
+
+    A node with one out-edge and one in-edge gets no frame: from a new
+    child ``c`` of v, the DFS numbers the chain of such nodes in one run,
+    in its usual order. If the chain ends at v or an ancestor, v resumes
+    its scan; if at a new node, the DFS enters it, and a block that closes
+    at v starts at ``c``. No block closes inside a chain: a balanced graph
+    has no bridge, so a chain node's lowlink is below its discovery time.
     """
     n = g.num_nodes
     off = g.off
@@ -334,9 +340,10 @@ def _analyse(g: Graph) -> tuple[EulerCheck, array]:
     block = array("i", [1]) * n
     members: list[int] = []
     # Every ancestor of the running node waits on the stack as (node, next
-    # entry to scan, lowlink so far, edge used to enter it). The running
-    # node's state lives in locals, so back edges never touch the stack.
-    stack: list[tuple[int, int, int, int]] = []
+    # entry to scan, lowlink so far, edge used to enter it, first node of
+    # the branch below it). The running node's state lives in locals, so
+    # back edges and chains never touch the stack.
+    stack: list[tuple[int, int, int, int, int]] = []
     disc[0] = 0
     timer = 1
     v, i, end, lv, entered = 0, off[0], off[1], 0, -1
@@ -352,25 +359,44 @@ def _analyse(g: Graph) -> tuple[EulerCheck, array]:
         else:
             if not stack:
                 break
-            child_low = lv
-            p, i, lv, entered = stack.pop()
-            if child_low >= disc[p]:
-                dv = disc[v]
-                while True:
-                    x = members.pop()
-                    block[x] = dv
-                    if x == v:
-                        break
-            elif child_low < lv:
-                lv = child_low
-            v, end = p, off[p + 1]
-            continue
-        stack.append((v, i + 1, lv, entered))
-        members.append(w)
-        entered = eid[i]
-        disc[w] = lv = timer
-        timer += 1
-        v, i, end = w, off[w], off[w + 1]
+            dw = lv
+            v, i, lv, entered, c = stack.pop()
+            end = off[v + 1]
+        if dw < 0:
+            # Number w and the chain of one-in one-out nodes after it; it leaves
+            # each as it left v, by the out-edge (entry 0) or the in-edge (1).
+            c = w
+            j = i
+            back = i >= g.out_end[v]
+            while True:
+                disc[w] = timer
+                timer += 1
+                members.append(w)
+                if off[w + 1] - off[w] != 2:
+                    break
+                j = off[w] + back
+                w = nbr[j]
+                dw = disc[w]
+                if dw >= 0:
+                    break
+            if dw < 0:
+                # The chain ends at a new node with more edges: enter it.
+                stack.append((v, i + 1, lv, entered, c))
+                entered = eid[j]
+                lv = disc[w]
+                v, i, end = w, off[w], off[w + 1]
+                continue
+            i += 1
+        # The branch below v that starts at c is done, and its lowlink is dw.
+        if dw >= disc[v]:
+            dc = disc[c]
+            while True:
+                x = members.pop()
+                block[x] = dc
+                if x == c:
+                    break
+        elif dw < lv:
+            lv = dw
     if timer != n:
         witness = labels[disc.index(-1)]
         detail = f"node '{witness}' is not reachable from '{labels[0]}' ignoring directions"

@@ -1,4 +1,6 @@
 """Undirected view, articulation points, and component splits."""
+import random
+
 import pytest
 
 from eulersafe import (
@@ -6,8 +8,11 @@ from eulersafe import (
     Graph,
     articulation_points,
     component_split,
+    is_eulerian,
     underlying_undirected,
 )
+from eulersafe.circuit import edge_blocks
+from test_count import brute_force_blocks, renumbered
 from test_safety import raw_multigraphs
 
 
@@ -108,3 +113,88 @@ class TestComponentSplit:
     def test_unknown_node(self, triangle):
         with pytest.raises(ContractError, match="not in the graph"):
             component_split(underlying_undirected(triangle), "zz")
+
+
+def cycle(*nodes):
+    """The edges of the directed cycle through ``nodes`` in order."""
+    return [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
+
+
+class TestChains:
+    """The analysis pass runs through each chain of one-in one-out nodes
+    without a frame per node; these shapes make it end at every kind of
+    node. Node 0 is the first tail."""
+
+    SHAPES = {
+        # r branches into a triangle and a pendant 4-cycle of chain nodes.
+        "pendant cycle at node 0": (cycle("r", "a", "b") + cycle("r", "p", "q", "s"), {"r"}),
+        # d hangs off a by two 2-cycles and carries the pendant x, y, z.
+        "pendant cycle at a deep node": (
+            cycle("r", "a", "b") + cycle("r", "a") + cycle("a", "d") + cycle("d", "a")
+            + cycle("d", "x", "y", "z"),
+            {"a", "d"},
+        ),
+        "2-cycle": (cycle("a", "b", "c") + cycle("b", "w"), {"b"}),
+        # The DFS enters u from r and v from u; from v, the chain c1, c2
+        # ends at r, above v's parent u.
+        "chain closes above its parent": (
+            cycle("r", "u", "v", "c1", "c2") + cycle("u", "x") + cycle("v", "y"),
+            {"u", "v"},
+        ),
+        # v's out-edges all go back to r, so its chain through c starts
+        # at an in-edge and runs against the edge directions.
+        "chain entered by an in-edge": (
+            [("r", "v"), ("v", "r"), ("v", "r"), ("c", "v"), ("r", "c")],
+            set(),
+        ),
+        "one simple cycle": (cycle("a", "b", "c", "d", "e"), set()),
+        "one 2-cycle": (cycle("a", "b"), set()),
+        "chains between branching nodes": (
+            cycle("r", "a", "b", "s", "c", "d") + cycle("r", "e", "s") + cycle("s", "f", "g"),
+            {"s"},
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_cut_nodes_and_blocks_match_the_definition(self, shape):
+        edges, cuts = self.SHAPES[shape]
+        g = Graph(edges)
+        assert is_eulerian(g).ok
+        assert articulation_points(g) == brute_force_cut_nodes(g) == cuts
+        assert renumbered(edge_blocks(g)[0]) == brute_force_blocks(g)
+
+    def test_pure_chain_component_keeps_the_witness(self):
+        # A second component that is one cycle of chain nodes, then a
+        # first one that is; the lowest unreached node id is the witness.
+        g = Graph(cycle("a", "b", "c") + cycle("a", "d") + cycle("x", "y", "z"))
+        check = is_eulerian(g)
+        assert check == (
+            False,
+            "not-weakly-connected",
+            "x",
+            "node 'x' is not reachable from 'a' ignoring directions",
+        )
+        with pytest.raises(ContractError, match=f"^graph is not Eulerian: {check.detail}$"):
+            articulation_points(g)
+        g = Graph(cycle("a", "b", "c") + cycle("x", "y") + cycle("y", "z"))
+        assert is_eulerian(g)[1:] == (
+            "not-weakly-connected",
+            "x",
+            "node 'x' is not reachable from 'a' ignoring directions",
+        )
+
+    def test_blocks_match_the_definition_on_cacti(self):
+        # Random cacti, with chains of every length between their joints.
+        rng = random.Random(26)
+        for _ in range(60):
+            edges = cycle("c0", "c1")
+            n = 2
+            for _ in range(rng.randint(1, 5)):
+                k = rng.randint(2, 6)
+                fresh = [f"c{n + x}" for x in range(k - 1)]
+                edges += cycle(f"c{rng.randrange(n)}", *fresh)
+                n += k - 1
+            rng.shuffle(edges)
+            g = Graph(edges)
+            assert articulation_points(g) == brute_force_cut_nodes(g), edges
+            assert renumbered(edge_blocks(g)[0]) == brute_force_blocks(g), edges

@@ -79,6 +79,19 @@ class TestParseEdgeList:
         g = parse_edge_list("\na b\n\nb a\n")
         assert g.num_edges == 2
 
+    def test_comment_is_a_first_token_that_starts_with_hash(self):
+        # A line is an edge iff it has two tokens and the first does not
+        # start with '#'; any other line with a token is an error, unless
+        # its first token starts with '#'.
+        text = "#x y\n# a b\na #b\n   \t \n#\n#x y z\n"
+        assert list(parse_edge_list(text).edge_pairs()) == [("a", "#b")]
+        with pytest.raises(ParseError, match=r"^line 7: expected 'tail head', got 3 token\(s\)$"):
+            parse_edge_list(text + "a b c\n")
+        with pytest.raises(ParseError, match=r"^line 8: expected 'tail head', got 1 token\(s\)$"):
+            parse_edge_list(text + "\na\n")
+        with pytest.raises(ParseError, match="^graph must have at least one edge$"):
+            parse_edge_list("#x y\n# a b\n  \n")
+
     def test_leading_byte_order_mark_dropped(self):
         assert parse_edge_list("\ufeff# g\na b\nb a\n") == parse_edge_list("a b\nb a\n")
         with pytest.raises(ParseError, match="line 2:"):
@@ -146,7 +159,7 @@ def traced_cactus(tmp_path_factory):
 def test_safe_peaks_near_the_graph(traced_cactus, monkeypatch, fmt):
     # `safe` parses its input as it reads it and writes each walk as it
     # follows it, so it holds neither the text, nor its lines, nor all the
-    # walks. Its peak, about 1.58 times what the graph holds, comes while
+    # walks. Its peak, about 1.42 times what the graph holds, comes while
     # it builds the forced successors with the analysis pass's tables
     # held, the DFS's `disc` list, an int object per node, the largest.
     # Keeping the text and the walks took it past 2. The load is traced
