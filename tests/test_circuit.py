@@ -8,6 +8,7 @@ from eulersafe import (
     find_eulerian_circuit,
 )
 from eulersafe.circuit import verify_circuit
+from families import corpus
 
 
 class TestFindEulerianCircuit:
@@ -37,9 +38,9 @@ class TestFindEulerianCircuit:
         with pytest.raises(ContractError, match="not reachable"):
             find_eulerian_circuit(disconnected)
 
-    def test_stack_pushes_linear(self, corpus_4):
+    def test_stack_pushes_linear(self):
         # One push per edge plus the start node.
-        for g in corpus_4:
+        for g in corpus(4):
             stats = {}
             find_eulerian_circuit(g, stats=stats)
             assert stats["stack_pushes"] == g.num_edges + 1

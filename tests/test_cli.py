@@ -30,7 +30,7 @@ from eulersafe.cli import WALK_CHUNK
 from eulersafe.generator import random_eulerian_edges
 from eulersafe.oracles import count_by_states, pevzner_intersection_graph
 from eulersafe.safety import SafeWalkReport
-from test_safety import cycling_successors, raw_multigraphs, ring
+from families import cactus_edges, corpus, cycling_successors, raw_multigraphs, ring
 
 TRIANGLE = "a b\nb c\nc a\n"
 FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
@@ -248,8 +248,8 @@ class TestSafeMatchesReference:
         out = self.stdout_of(g, fmt, monkeypatch, capsys)
         assert out == reference_safe_output(g, fmt)
 
-    def test_corpus(self, corpus_5, monkeypatch, capsys, fmt):
-        for g in corpus_5:
+    def test_corpus(self, monkeypatch, capsys, fmt):
+        for g in corpus(5):
             out = self.stdout_of(g, fmt, monkeypatch, capsys)
             assert out == reference_safe_output(g, fmt), list(g.edge_pairs())
 
@@ -564,20 +564,6 @@ def exact_decimal(n: int) -> str:
         return str(n)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def cactus_edges(num_nodes: int, seed: int) -> list[tuple[str, str]]:
-    """Directed cycles of length 2 to 6, each attached at a random node of
-    the cactus built so far."""
-    rng = random.Random(seed)
-    edges = []
-    n = 1
-    while n < num_nodes:
-        k = min(rng.randint(2, 6), num_nodes - n + 1)
-        cycle = [rng.randrange(n), *range(n, n + k - 1)]
-        n += k - 1
-        edges += [(f"c{cycle[i]}", f"c{cycle[(i + 1) % k]}") for i in range(k)]
-    return edges
 
 
 class TestLargeAndMalformedInput:

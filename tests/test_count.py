@@ -9,7 +9,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eulersafe import (
     ContractError,
     Graph,
-    component_split,
     count_best,
     count_circuits,
     is_eulerian,
@@ -18,35 +17,7 @@ from eulersafe import (
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, edge_blocks
 from eulersafe.oracles import count_by_states
-
-
-def brute_force_blocks(g: Graph) -> list[int]:
-    """Block labels straight from the definition.
-
-    Two non-loop edges share a block iff no node separates them: for every
-    node x they fall in the same component of the graph minus x, where an
-    edge incident to x goes with its other endpoint. Labels are numbered
-    by first appearance in edge-id order; loops get -1.
-    """
-    u = underlying_undirected(g)
-    edges = [g.edge(e) for e in range(g.num_edges)]
-    keys: list[list] = [[] for _ in edges]
-    for x in g.labels:
-        comp = component_split(u, x).component
-        for key, (t, h) in zip(keys, edges):
-            if t != h:
-                key.append(comp[h] if t == x else comp[t])
-    labels: dict[tuple, int] = {}
-    return [
-        -1 if t == h else labels.setdefault(tuple(key), len(labels))
-        for key, (t, h) in zip(keys, edges)
-    ]
-
-
-def renumbered(block: list[int]) -> list[int]:
-    """Block labels renumbered by first appearance, loops kept at -1."""
-    first: dict[int, int] = {}
-    return [-1 if b < 0 else first.setdefault(b, len(first)) for b in block]
+from families import as_graph, brute_force_blocks, renumbered
 
 
 def closed_walks(max_nodes: int = 5, max_len: int = 5, max_walks: int = 4):
@@ -58,10 +29,6 @@ def closed_walks(max_nodes: int = 5, max_len: int = 5, max_walks: int = 4):
     return st.lists(walk, min_size=1, max_size=max_walks).map(
         lambda walks: [(w[i], w[(i + 1) % len(w)]) for w in walks for i in range(len(w))]
     )
-
-
-def as_graph(edges) -> Graph:
-    return Graph([(str(t), str(h)) for t, h in edges])
 
 
 @settings(max_examples=400, deadline=None)
@@ -79,11 +46,6 @@ def test_counter_matches_oracles_on_raw_multigraphs(edges):
 @pytest.mark.parametrize("d", range(1, 8))
 def test_single_node_with_loops(d):
     assert count_circuits(as_graph([(0, 0)] * d)) == factorial(d - 1)
-
-
-def test_counter_matches_oracle_on_corpus(corpus_5):
-    for g in corpus_5:
-        assert count_circuits(g) == count_best(g).epsilon, list(g.edge_pairs())
 
 
 def test_series_reduction_of_a_theta_graph():
@@ -201,12 +163,6 @@ class TestEdgeBlocks:
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
             edge_blocks(underlying_undirected(g))
-
-    def test_matches_brute_force_on_corpus(self, corpus_4):
-        for g in corpus_4:
-            block, count = edge_blocks(underlying_undirected(g))
-            assert renumbered(block) == brute_force_blocks(g), list(g.edge_pairs())
-            assert count == max(block) + 1
 
     @settings(max_examples=200, deadline=None)
     @given(closed_walks(max_nodes=7, max_len=6, max_walks=5))

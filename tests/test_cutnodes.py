@@ -12,8 +12,7 @@ from eulersafe import (
     underlying_undirected,
 )
 from eulersafe.circuit import edge_blocks
-from test_count import brute_force_blocks, renumbered
-from test_safety import raw_multigraphs
+from families import brute_force_blocks, renumbered
 
 
 def brute_force_cut_nodes(u) -> set:
@@ -79,21 +78,6 @@ class TestArticulationPoints:
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
             articulation_points(underlying_undirected(g))
-
-    def test_matches_brute_force_on_corpus(self, corpus_4):
-        for g in corpus_4:
-            u = underlying_undirected(g)
-            assert articulation_points(u) == brute_force_cut_nodes(u), list(
-                g.edge_pairs()
-            )
-
-    def test_matches_brute_force_on_larger_sample(self, random_sample_500):
-        # The multigraphs add self-loops, at node 0 too, and parallel pairs.
-        for g in [*random_sample_500[:150], *raw_multigraphs(1000, seed=7)]:
-            u = underlying_undirected(g)
-            assert articulation_points(u) == brute_force_cut_nodes(u), list(
-                g.edge_pairs()
-            )
 
 
 class TestComponentSplit:

@@ -14,54 +14,16 @@ circuit is unique iff no two repeats interleave, and the maximal safe walks
 are the genome cut at every copy of an interleaved repeat. Edge ids are
 shuffled so that node 0 and the side numbering fall anywhere.
 """
-import random
-
 import pytest
 
 from eulersafe import (
-    Graph,
     SafePairChecker,
     articulation_points,
     classify_nodes,
     has_unique_eulerian_circuit,
     maximal_safe_walks,
 )
-
-K = 20
-
-
-def planted_genome(
-    rng: random.Random, bases: int, repeats: int, reach: int
-) -> tuple[str, list[tuple[int, int]]]:
-    """A circular genome of ``bases`` bases and the two start positions of
-    each planted (K-1)-mer, at most ``reach`` bases apart, with at least
-    two free bases between copies."""
-    while True:
-        genome = rng.choices("ACGT", k=bases)
-        taken = set()
-        copies = []
-        while len(copies) < repeats:
-            # No copy or flank wraps around the end of the text.
-            p = rng.randrange(2, bases - 2 * K - 4)
-            q = rng.randrange(p + K + 3, min(p + reach, bases - K - 1))
-            span = {x for s in (p, q) for x in range(s - 2, s + K + 1)}
-            if p + bases - q < K + 3 or span & taken:
-                continue
-            taken |= span
-            repeat = rng.choices("ACGT", k=K - 1)
-            for s in (p, q):
-                genome[s : s + K - 1] = repeat
-            # Different bases on both flanks: two in-edges and two out-edges.
-            for before, after in ((p - 1, q - 1), (p + K - 1, q + K - 1)):
-                if genome[before] == genome[after]:
-                    genome[after] = "ACGT"["ACGT".index(genome[before]) - 1]
-            copies.append((p, q))
-        text = "".join(genome)
-        text += text[: K - 1]
-        nodes = [text[i : i + K - 1] for i in range(bases)]
-        # Chance repeats are astronomically rare at this length; redraw if any.
-        if len(set(nodes)) == bases - repeats:
-            return text, copies
+from families import GENOMES, K, genome
 
 
 def interleaved(copies: list[tuple[int, int]]) -> set[int]:
@@ -74,28 +36,10 @@ def interleaved(copies: list[tuple[int, int]]) -> set[int]:
     return found
 
 
-# Short reaches nest or separate most repeats (cut nodes); long ones cross
-# most of them. Seed 3 is unique with six cut nodes.
-@pytest.mark.parametrize(
-    "seed, bases, repeats, reach",
-    [
-        (1, 3000, 0, 3000),
-        (2, 3000, 1, 3000),
-        (3, 4000, 6, 400),
-        (4, 4000, 6, 4000),
-        (5, 5000, 12, 300),
-        (6, 5000, 12, 1500),
-        (7, 6000, 25, 6000),
-        (8, 6000, 25, 300),
-    ],
-)
+@pytest.mark.parametrize("seed, bases, repeats, reach", GENOMES)
 def test_planted_genome_matches_the_closed_form(seed, bases, repeats, reach):
-    rng = random.Random(seed)
-    text, copies = planted_genome(rng, bases, repeats, reach)
-    perm = list(range(bases))
-    rng.shuffle(perm)  # genome edge i gets edge id perm[i]
+    g, text, copies, perm = genome(seed, bases, repeats, reach)
     order = sorted(range(bases), key=perm.__getitem__)
-    g = Graph([(text[i : i + K - 1], text[i + 1 : i + K]) for i in order])
     assert g.num_nodes == bases - repeats
 
     crossed = interleaved(copies)
@@ -139,6 +83,6 @@ def test_planted_genome_matches_the_closed_form(seed, bases, repeats, reach):
                 assert evidence[:2] == (False, "not-in-any-circuit")
                 assert evidence.component_u == evidence.component_w
     starts = {s for pair in copies for s in pair}
-    for i in rng.sample(range(bases), 50):
+    for i in range(bases):
         if i not in starts:
             assert checker.check(perm[i - 1], perm[i]).reason == "degree-one"

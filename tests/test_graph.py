@@ -29,7 +29,7 @@ from eulersafe import cli, graph
 from eulersafe.circuit import find_eulerian_circuit
 from eulersafe.graph import is_valid_walk
 from eulersafe.oracles import _require_eulerian, _rewritten_edges
-from test_cli import cactus_edges
+from families import cactus_edges
 
 
 def out_edges(g, v):

@@ -26,19 +26,10 @@ from eulersafe.oracles import (
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
-from conftest import canonical_rotation
-from test_safety import raw_multigraphs, ring
+from families import canonical_rotation, corpus, ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import make_cactus  # noqa: E402
-
-
-def feasible_raw_multigraphs():
-    """Seeded raw multigraphs, self-loops and parallel edges included, small
-    enough to enumerate."""
-    for g in raw_multigraphs(1000, seed=99):
-        if g.num_edges <= 12:
-            yield g
 
 
 @pytest.mark.parametrize("fixture", ["bidirected_triangle", "three_triangles"])
@@ -84,8 +75,8 @@ class TestEnumeration:
             (0, 1, 2, 6, 7, 8, 3, 4, 5),
         }
 
-    def test_rotation_classes_are_distinct(self, corpus_4):
-        for g in corpus_4[::11]:
+    def test_rotation_classes_are_distinct(self):
+        for g in corpus(4)[::11]:
             result = enumerate_eulerian_circuits(g)
             canon = {canonical_rotation(c.edges) for c in result.circuits}
             assert len(canon) == result.count
@@ -101,13 +92,6 @@ class TestEnumeration:
     def test_count_without_storing(self, bidirected_triangle, three_triangles):
         assert count_by_states(bidirected_triangle) == 3
         assert count_by_states(three_triangles) == 2
-
-    def test_count_matches_the_state_count(self, corpus_4):
-        graphs = [*corpus_4, *feasible_raw_multigraphs()]
-        for g in graphs:
-            assert enumerate_eulerian_circuits(g).count == count_by_states(g), list(
-                g.edge_pairs()
-            )
 
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError):
@@ -220,16 +204,16 @@ class TestArborescences:
         assert count_arborescences(bidirected_triangle) == 3
         assert count_arborescences(figure_eight) == 1
 
-    def test_matches_subset_enumeration(self, corpus_4):
-        for g in corpus_4[::7]:
+    def test_matches_subset_enumeration(self):
+        for g in corpus(4)[::7]:
             assert count_arborescences(g) == brute_force_arborescences(
                 g, g.labels[0]
             ), list(g.edge_pairs())
 
-    def test_root_independent_on_eulerian_graphs(self, corpus_4):
+    def test_root_independent_on_eulerian_graphs(self):
         # Rotating the edge list to start at an out-edge of a label makes
         # that label node 0, so every label in turn is the root.
-        for g in corpus_4[::13]:
+        for g in corpus(4)[::13]:
             edges = list(g.edge_pairs())
             counts = set()
             for label in g.labels:
@@ -261,18 +245,6 @@ class TestCircuitCounting:
         assert (report.epsilon, report.t, report.degree_factorial_product) == (3, 3, 1)
         report = count_best(three_triangles)
         assert (report.epsilon, report.t, report.degree_factorial_product) == (2, 1, 2)
-
-    def test_matches_enumeration_on_corpus(self, corpus_4):
-        for g in corpus_4:
-            assert count_best(g).epsilon == count_by_states(g), list(g.edge_pairs())
-
-    def test_matches_counters_on_raw_multigraphs(self):
-        # The BEST theorem holds on multigraphs as they are: no rewrite.
-        for g in raw_multigraphs(1000, seed=99):
-            report = count_best(g)
-            assert report.epsilon == count_circuits(g) == count_by_states(g), list(
-                g.edge_pairs()
-            )
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_loops_at_one_node(self, d):
@@ -359,8 +331,8 @@ class TestIntersectionGraph:
         assert len(gi.edges) == 3
         assert not gi.is_tree
 
-    def test_cycle_edges_partition(self, corpus_4):
-        for g in corpus_4[::9]:
+    def test_cycle_edges_partition(self):
+        for g in corpus(4)[::9]:
             gi = pevzner_intersection_graph(g)
             covered = sorted(e for cyc in gi.cycle_edges for e in cyc)
             assert covered == list(range(g.num_edges))
@@ -368,18 +340,6 @@ class TestIntersectionGraph:
                 assert nodes[0] == nodes[-1]
                 assert len(nodes) == len(edges) + 1
                 assert len(set(nodes[:-1])) == len(edges)
-
-    def test_tree_verdict_matches_uniqueness(self, corpus_4):
-        for g in corpus_4:
-            assert pevzner_intersection_graph(g).is_tree == has_unique_eulerian_circuit(
-                g
-            ), list(g.edge_pairs())
-
-    def test_tree_verdict_on_raw_multigraphs(self):
-        for g in raw_multigraphs(1000, seed=99):
-            assert pevzner_intersection_graph(g).is_tree == has_unique_eulerian_circuit(
-                g
-            ), list(g.edge_pairs())
 
     def test_parallel_pair_cycles_meet_twice(self):
         gi = pevzner_intersection_graph(

@@ -16,16 +16,10 @@ from eulersafe import (
     normalize,
 )
 from eulersafe import safety
-from eulersafe.graph import is_valid_walk
-from eulersafe.oracles import (
-    _possible_successors,
-    brute_force_safe_walks,
-    component_split,
-    enumerate_eulerian_circuits,
-)
+from eulersafe.oracles import brute_force_safe_walks, enumerate_eulerian_circuits
 from eulersafe.cli import WALK_CHUNK
 
-from conftest import canonical_rotation
+from families import canonical_rotation, cycling_successors, raw_multigraphs, ring, simple_sample
 
 
 class TestClassifyNodes:
@@ -139,29 +133,6 @@ class TestSafePair:
         assert checker.check(5, 0).safe
         assert not checker.check(5, 3).safe
 
-    def test_matches_circuit_enumeration(self, corpus_4):
-        # Safe iff the pair occurs (consecutively, circularly) in every circuit.
-        for g in corpus_4[::5]:
-            circuits = enumerate_eulerian_circuits(g).circuits
-            checker = SafePairChecker(g)
-            m = g.num_edges
-            for e1 in range(m):
-                for e2 in range(m):
-                    if e1 == e2 or g.heads[e1] != g.tails[e2]:
-                        continue
-                    expected = all(
-                        any(
-                            c.edges[i] == e1 and c.edges[(i + 1) % m] == e2
-                            for i in range(m)
-                        )
-                        for c in circuits
-                    )
-                    assert checker.check(e1, e2).safe == expected, (
-                        list(g.edge_pairs()),
-                        e1,
-                        e2,
-                    )
-
 
 class TestUniqueness:
     def test_examples(self, triangle, figure_eight, bidirected_triangle, three_triangles):
@@ -191,13 +162,6 @@ class TestUniqueness:
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError, match="not Eulerian"):
             has_unique_eulerian_circuit(Graph([("a", "b")]))
-
-    def test_matches_enumeration_on_corpus(self, corpus_4):
-        for g in corpus_4:
-            count = enumerate_eulerian_circuits(g, cap=2).count
-            assert has_unique_eulerian_circuit(g) == (count == 1), list(
-                g.edge_pairs()
-            )
 
     def test_matches_enumeration_on_multigraphs(self):
         rng = random.Random(42)
@@ -236,27 +200,10 @@ class TestMaximalSafeWalks:
         assert sorted(report.walks) == [(e,) for e in range(6)]
         assert sum(map(len, report.walks)) == 6
 
-    def test_walks_partition_edges(self, corpus_4):
-        for g in corpus_4[::3]:
-            report = maximal_safe_walks(g)
-            covered = sorted(e for w in report.walks for e in w)
-            assert covered == list(range(g.num_edges))
-            assert sum(map(len, report.walks)) == g.num_edges
-            for w in report.walks:
-                assert is_valid_walk(g, w)
-
-    def test_matches_brute_force_on_corpus(self, corpus_4):
-        for g in corpus_4:
-            assert maximal_safe_walks(g) == brute_force_safe_walks(g), list(g.edge_pairs())
-
-    def test_matches_brute_force_on_random_sample(self, random_sample_500):
-        for g in random_sample_500[:120]:
-            assert maximal_safe_walks(g) == brute_force_safe_walks(g), list(g.edge_pairs())
-
-    def test_independent_of_circuit_choice(self, random_sample_500):
+    def test_independent_of_circuit_choice(self):
         # Every circuit, cut at every occurrence of a non-forcing node, gives
         # the maximal safe walks.
-        for g in random_sample_500[:60]:
+        for g in simple_sample()[:60]:
             classes = classify_nodes(g)
             cut_at = {g.index[label] for label, c in classes.items() if not c.in_a}
             expected = list(maximal_safe_walks(g).walks)
@@ -287,12 +234,6 @@ class TestMaximalSafeWalks:
         assert len(report.walks) == 1
         assert sorted(report.walks[0]) == [0, 1, 2]
         assert sum(map(len, report.walks)) == 3
-
-
-def ring(length: int, through: str = "h") -> list[tuple[str, str]]:
-    """A directed cycle of ``length`` edges from ``through`` back to it."""
-    nodes = [through] + [f"ring{i}" for i in range(1, length)]
-    return [(nodes[i], nodes[(i + 1) % length]) for i in range(length)]
 
 
 @pytest.mark.parametrize(
@@ -327,38 +268,10 @@ class TestLongWalks:
             assert walks[ring_walk] == array("i", range(2 * ring_walk, 2 * ring_walk + length))
 
 
-def cycling_successors(g, a, in_a):
-    """A faulty successor table: 1 -> 2 -> 1, a cycle that edge 0 enters
-    and never leaves."""
-    succ = array("i", [-1]) * g.num_edges
-    succ[0], succ[1], succ[2] = 1, 2, 1
-    return succ
-
-
 def test_runaway_chain_is_a_contract_error(monkeypatch, figure_eight):
     monkeypatch.setattr(safety, "_forced_successors", cycling_successors)
     with pytest.raises(ContractError, match="chain from edge 0 is longer than [|]E[|] = 6"):
         maximal_safe_walks(figure_eight)
-
-
-def raw_multigraphs(count: int, seed: int):
-    """Seeded Eulerian multigraphs as shuffled unions of random closed
-    walks, so self-loops, parallel and antiparallel edges all occur; then
-    the single node with 1 to 5 self-loops."""
-    rng = random.Random(seed)
-    found = 0
-    while found < count:
-        edges = []
-        for _ in range(rng.randint(1, 4)):
-            walk = [rng.choice("abcde") for _ in range(rng.randint(1, 5))]
-            edges += [(walk[i - 1], walk[i]) for i in range(len(walk))]
-        rng.shuffle(edges)
-        g = Graph(edges)
-        if is_eulerian(g):
-            found += 1
-            yield g
-    for d in range(1, 6):
-        yield Graph([("a", "a")] * d)
 
 
 def test_raw_multigraphs_match_normalized_pipeline():
@@ -402,58 +315,6 @@ def test_raw_multigraphs_match_normalized_pipeline():
     print(f"\n{graphs} raw multigraphs, {pairs} consecutive pairs: 0 divergences")
 
 
-def test_walks_are_maximal_chains_of_safe_pairs():
-    """Every consecutive pair inside a walk is safe; when the circuit is
-    not unique, no pair that leaves a walk's last edge is."""
-    for g in raw_multigraphs(1000, seed=20261018):
-        edges = list(g.edge_pairs())
-        report = maximal_safe_walks(g)
-        checker = SafePairChecker(g)
-        for walk in report.walks:
-            for e1, e2 in zip(walk, walk[1:]):
-                assert checker.check(e1, e2).safe, (edges, e1, e2)
-            if report.unique_circuit:
-                if len(walk) > 1:
-                    assert checker.check(walk[-1], walk[0]).safe, edges
-                continue
-            last = walk[-1]
-            v = g.heads[last]
-            for e2 in g.eid[g.off[v] : g.out_end[v]]:
-                if e2 != last:
-                    assert not checker.check(last, e2).safe, (edges, last, e2)
-
-
-def test_side_0_holds_node_0(corpus_5):
-    """At a loop-free forcing degree-2 node v, side 0 is the pair whose other
-    ends lie in the component of g - v that holds node 0, or, when v is node
-    0, the one that holds the head of its lowest-id out-edge: a numbering
-    that does not depend on the analysis DFS."""
-    nodes = 0
-    # The de Bruijn graph has one loop-free cut node of degree 2.
-    for g in [*corpus_5, *raw_multigraphs(1000, seed=7), Graph(de_bruijn_edges(2, 1000, 12))]:
-        block, degrees, _ = safety._forcing(g)
-        checker = SafePairChecker(g)
-        for v, d in enumerate(degrees):
-            sides = safety._sides(g, block, v) if d == 2 else None
-            if sides is None or sides[0] == sides[1]:
-                continue
-            out_edges = g.eid[g.off[v] : g.out_end[v]]
-            in_edges = g.eid[g.out_end[v] : g.off[v + 1]]
-            component = component_split(g, g.labels[v]).component
-            home = component[g.labels[g.heads[min(out_edges)] if v == 0 else 0]]
-            side = {e: int(component[g.labels[g.heads[e]]] != home) for e in out_edges}
-            side |= {e: int(component[g.labels[g.tails[e]]] != home) for e in in_edges}
-            (out1,) = [e for e in out_edges if side[e]]
-            (in1,) = [e for e in in_edges if side[e]]
-            assert sides == (out1, in1), (list(g.edge_pairs()), v)
-            for e1 in in_edges:
-                for e2 in out_edges:
-                    evidence = checker.check(e1, e2)
-                    assert (evidence.component_u, evidence.component_w) == (side[e1], side[e2])
-            nodes += 1
-    assert nodes > 1000
-
-
 def de_bruijn_edges(seed: int, bases: int = 100_000, k: int = 12) -> list[tuple[str, str]]:
     """The k-mers of a circular ACGT genome as edges between (k-1)-mers,
     edge i the k-mer at position i, so the genome order is one Eulerian
@@ -491,31 +352,3 @@ def test_de_bruijn_genome():
     checker = SafePairChecker(g)
     for e in range(m):
         assert checker.check(e, (e + 1) % m).safe == (e not in last), e
-
-
-def test_pair_verdicts_match_the_definition(corpus_5):
-    """A pair (e, f) is safe exactly when f is the only successor of e that
-    some circuit takes, by splicing the pair into one edge, and that f is
-    then the forced successor the walks follow. This covers every
-    consecutive pair, a self-loop with itself and those at nodes of degree
-    3 or more included, and the safe walks of mid-sized de Bruijn graphs."""
-    pairs = high = 0
-    for g in [*corpus_5, *raw_multigraphs(1000, seed=11)]:
-        edges = list(g.edge_pairs())
-        checker = SafePairChecker(g)
-        block, _, in_a = safety._forcing(g)
-        forced = safety._forced_successors(g, block, in_a)
-        for e in range(g.num_edges):
-            possible = _possible_successors(g, e)
-            assert forced[e] == (possible[0] if len(possible) == 1 else -1), (edges, e)
-            v = g.heads[e]
-            for f in g.eid[g.off[v] : g.out_end[v]]:
-                safe = checker.check(e, f).safe
-                assert safe == (possible == [f]), (edges, e, f)
-                pairs += 1
-                high += g.out_end[v] - g.off[v] >= 3
-    assert high > 10_000
-    for seed, bases, k in [(1, 500, 3), (2, 700, 4), (3, 1000, 5), (4, 1200, 6)]:
-        g = Graph(de_bruijn_edges(seed, bases, k))
-        assert brute_force_safe_walks(g) == maximal_safe_walks(g), (seed, bases, k)
-    print(f"\n{pairs} pairs, {high} at nodes of degree >= 3: 0 divergences")
