@@ -5,6 +5,10 @@ import pytest
 
 from eulersafe import Graph
 
+# The harness's comparisons live in families.py; show their operands when
+# one fails, as in a test module.
+pytest.register_assert_rewrite("families")
+
 
 def make_triangle() -> Graph:
     return Graph([("a", "b"), ("b", "c"), ("c", "a")])

@@ -1,4 +1,5 @@
-"""Named graph families and the shapes the test modules share.
+"""Named graph families, the differential harness over them, and the
+shapes the test modules share.
 
 Each family is seeded and built once per session (``functools.cache``), so
 every test that sweeps it sees the same graphs. Only this module and
@@ -8,10 +9,20 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
-from eulersafe import Graph, component_split, is_eulerian, normalize, random_eulerian_edges
+from eulersafe import (
+    Graph, SafePairChecker, articulation_points, classify_nodes, component_split, count_circuits,
+    has_unique_eulerian_circuit, is_eulerian, maximal_safe_walks, normalize, random_eulerian_edges, safety,
+)
+from eulersafe.circuit import edge_blocks
+from eulersafe.graph import is_valid_walk
+from eulersafe.oracles import (
+    _possible_successors, brute_force_safe_walks, count_best, count_by_states, enumerate_eulerian_circuits,
+    pevzner_intersection_graph,
+)
 
 
 def canonical_rotation(edges) -> tuple[int, ...]:
@@ -241,3 +252,223 @@ def renumbered(block) -> list[int]:
     """Block labels renumbered by first appearance, loops kept at -1."""
     first: dict[int, int] = {}
     return [-1 if b < 0 else first.setdefault(b, len(first)) for b in block]
+
+
+# The differential harness. A column compares one fast answer with the
+# oracles that ORACLES runs on a family. Each oracle runs once per graph
+# and is kept for the session, so the columns, and the tests that ask for
+# them, share it.
+FAMILIES = {
+    "corpus-5": lambda: corpus(5),
+    "simple-sample": simple_sample,
+    "raw-multigraphs": lambda: raw_multigraphs(1000, seed=7),
+    "genomes": lambda: tuple(genome(*row).graph for row in GENOMES),
+}
+
+# Which oracles run on which family. Pevzner's cycle-intersection tree and
+# the component split at each node of degree 2 or more run on all of them.
+#   splice:      _possible_successors, the successors some circuit takes;
+#   count:       count_by_states and count_best;
+#   enumerate:   every circuit up to 12 edges, else the first two;
+#   blocks:      brute_force_blocks, from a split at every node;
+#   brute-walks: brute_force_safe_walks.
+# The genomes are too large for the rest; test_genome.py checks them
+# against their closed form.
+SMALL = {"splice", "count", "enumerate", "blocks", "brute-walks"}
+ORACLES = {
+    "corpus-5": SMALL,
+    "simple-sample": SMALL,
+    "raw-multigraphs": SMALL,
+    "genomes": set(),
+}
+
+
+@cache
+def graphs(family: str) -> tuple[Graph, ...]:
+    return FAMILIES[family]()
+
+
+def _out_edges(g: Graph) -> list:
+    return [g.eid[s:t] for s, t in zip(g.off, g.out_end)]
+
+
+def _possible(g: Graph) -> list[list[int]]:
+    # A head of degree 1 has one out-edge, which every circuit takes;
+    # elsewhere the splice test decides.
+    out_edges = _out_edges(g)
+    return [
+        _possible_successors(g, e) if len(out_edges[h]) > 1 else list(out_edges[h])
+        for e, h in enumerate(g.heads)
+    ]
+
+
+class Enumerated(NamedTuple):
+    count: int
+    # The pairs (e, f) that every circuit takes, when every circuit was listed.
+    every: set | None
+
+
+def _enumerated(g: Graph) -> Enumerated:
+    if g.num_edges > 12:
+        return Enumerated(enumerate_eulerian_circuits(g, cap=2).count, None)
+    circuits = enumerate_eulerian_circuits(g).circuits
+    every = set.intersection(*(set(zip(c.edges, c.edges[1:] + c.edges[:1])) for c in circuits))
+    return Enumerated(len(circuits), every)
+
+
+_ORACLE = {
+    "splice": _possible,
+    "count": count_by_states,
+    "enumerate": _enumerated,
+}
+
+
+@cache
+def _oracle(family: str, name: str) -> list:
+    """One oracle's answer for every graph of a family, or None for each
+    graph where the family's row in ORACLES leaves it out. The split runs
+    at every node where the blocks oracle runs, else at nodes of degree 2
+    or more."""
+    if name == "split":
+        every_node = "blocks" in ORACLES[family]
+        return [
+            {v: component_split(g, x) for v, x in enumerate(g.labels) if every_node or g.out_end[v] - g.off[v] > 1}
+            for g in graphs(family)
+        ]
+    if name not in ORACLES[family]:
+        return [None] * len(graphs(family))
+    return [_ORACLE[name](g) for g in graphs(family)]
+
+
+def _uniqueness(family: str, tally: Counter) -> None:
+    # has_unique_eulerian_circuit against the Pevzner tree, the enumerated
+    # circuits and the state count.
+    for g, enumerated, states in zip(graphs(family), _oracle(family, "enumerate"), _oracle(family, "count")):
+        edges = list(g.edge_pairs())
+        unique = has_unique_eulerian_circuit(g)
+        assert pevzner_intersection_graph(g).is_tree == unique, edges
+        assert enumerated is None or (enumerated.count == 1) == unique, edges
+        assert states is None or (states == 1) == unique, edges
+        tally["graphs"] += 1
+
+
+def _count(family: str, tally: Counter) -> None:
+    # count_circuits against count_best and count_by_states, and the
+    # listed circuits against the state count.
+    for g, enumerated, states in zip(graphs(family), _oracle(family, "enumerate"), _oracle(family, "count")):
+        if states is None:
+            continue
+        edges = list(g.edge_pairs())
+        assert count_circuits(g) == count_best(g).epsilon == states, edges
+        assert enumerated is None or enumerated.every is None or enumerated.count == states, edges
+        tally["graphs"] += 1
+
+
+def _pairs(family: str, tally: Counter) -> None:
+    # (e, f) is safe iff f is the only successor of e that some circuit
+    # takes, so iff every circuit takes it; then f is e's forced successor.
+    for g, possible, enumerated in zip(graphs(family), _oracle(family, "splice"), _oracle(family, "enumerate")):
+        if possible is None:
+            continue
+        edges = list(g.edge_pairs())
+        out_edges = _out_edges(g)
+        every = enumerated and enumerated.every
+        block, _, in_a = safety._forcing(g)
+        forced = safety._forced_successors(g, block, in_a)
+        checker = SafePairChecker(g)
+        for e, h in enumerate(g.heads):
+            assert forced[e] == (possible[e][0] if len(possible[e]) == 1 else -1), (edges, e)
+            for f in out_edges[h]:
+                safe = possible[e] == [f]
+                assert checker.check(e, f).safe == safe, (edges, e, f)
+                assert every is None or ((e, f) in every) == safe, (edges, e, f)
+            tally["pairs"] += len(out_edges[h])
+            tally["pairs at degree >= 3"] += len(out_edges[h]) if len(out_edges[h]) >= 3 else 0
+
+
+def _walks(family: str, tally: Counter) -> None:
+    # The walks partition the edges into maximal chains of safe pairs.
+    brute = "brute-walks" in ORACLES[family]
+    for g, possible in zip(graphs(family), _oracle(family, "splice")):
+        edges = list(g.edge_pairs())
+        unique = has_unique_eulerian_circuit(g)
+        report = maximal_safe_walks(g)
+        assert report.unique_circuit == unique, edges
+        assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges)), edges
+        for w in report.walks:
+            assert is_valid_walk(g, w), (edges, w)
+            if possible is not None:
+                assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)
+                assert possible[w[-1]] == [w[0]] if unique else len(possible[w[-1]]) == 2, (edges, w)
+        assert not brute or report == brute_force_safe_walks(g), edges
+        tally["walks"] += len(report.walks)
+
+
+def _sides(family: str, tally: Counter) -> None:
+    # Cut nodes, forcing flags and sides. A node of degree 1 is never a
+    # cut node: without the other, each side would be unbalanced.
+    for g, splits in zip(graphs(family), _oracle(family, "split")):
+        edges, labels, heads, tails = list(g.edge_pairs()), g.labels, g.heads, g.tails
+        out_edges = _out_edges(g)
+        in_edges = [g.eid[s:t] for s, t in zip(g.out_end, g.off[1:])]
+        block, _, _ = safety._forcing(g)
+        checker = SafePairChecker(g)
+        classes = classify_nodes(g)
+        cuts = articulation_points(g)
+        for v, label in enumerate(labels):
+            d, split = len(out_edges[v]), splits.get(v)
+            is_cut = split is not None and split.count > 1
+            loop = v in (heads[e] for e in out_edges[v])
+            forcing = d == 1 or d == 2 and (is_cut or loop)
+            assert classes[label][1:] == (d, is_cut, forcing) and (label in cuts) == is_cut, (edges, label)
+            if d != 2 or loop or not is_cut:
+                continue
+            # Two components, each with one out- and one in-neighbour of v.
+            # Side 0 holds node 0, or, when v is node 0, the head of its
+            # lowest-id out-edge: a numbering that does not depend on the
+            # analysis DFS.
+            comp = split.component
+            home = comp[labels[heads[min(out_edges[v])] if v == 0 else 0]]
+            side = {e: int(comp[labels[heads[e]]] != home) for e in out_edges[v]}
+            side |= {e: int(comp[labels[tails[e]]] != home) for e in in_edges[v]}
+            assert split.count == 2, (edges, label)
+            assert sorted(side[e] for e in out_edges[v]) == [0, 1] == sorted(side[e] for e in in_edges[v])
+            (out1,) = [e for e in out_edges[v] if side[e]]
+            (in1,) = [e for e in in_edges[v] if side[e]]
+            assert safety._sides(g, block, v) == (out1, in1), (edges, label)
+            for e1 in in_edges[v]:
+                for e2 in out_edges[v]:
+                    assert checker.check(e1, e2)[2:] == (side[e1], side[e2]), (edges, e1, e2)
+            tally["degree-2 cut nodes"] += 1
+
+
+def _blocks(family: str, tally: Counter) -> None:
+    # edge_blocks against the labels straight from the definition.
+    if "blocks" not in ORACLES[family]:
+        return
+    for g, splits in zip(graphs(family), _oracle(family, "split")):
+        block_ids, count = edge_blocks(g)
+        components = [splits[v].component for v in range(g.num_nodes)]
+        assert renumbered(block_ids) == brute_force_blocks(g, components), list(g.edge_pairs())
+        assert count == max(block_ids) + 1, list(g.edge_pairs())
+        tally["graphs"] += 1
+
+
+COLUMNS = {
+    "uniqueness": _uniqueness,
+    "count": _count,
+    "pairs": _pairs,
+    "walks": _walks,
+    "sides": _sides,
+    "blocks": _blocks,
+}
+
+
+@cache
+def checked(family: str, column: str) -> Counter:
+    """Compare one column's fast answer with its oracles on every graph of
+    a family, failing at the first mismatch; return what was compared, by
+    kind. A column passes once per session."""
+    tally: Counter = Counter()
+    COLUMNS[column](family, tally)
+    return tally

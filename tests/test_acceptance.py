@@ -1,5 +1,6 @@
 """Acceptance gate: every fast answer against the independent oracles, over
-named graph families, and linear-time scaling.
+named graph families (the harness and its table are in families.py), and
+linear-time scaling.
 
 The fast answers: a node forces iff it has degree 1, or degree 2 and is a
 cut node or carries a self-loop; the circuit is unique iff every node
@@ -9,144 +10,52 @@ import time
 
 import pytest
 
-from eulersafe import (
-    Graph, SafePairChecker, articulation_points, classify_nodes, count_circuits,
-    has_unique_eulerian_circuit, maximal_safe_walks, random_eulerian_edges, safety,
-)
-from eulersafe.circuit import edge_blocks
-from eulersafe.graph import is_valid_walk
-from eulersafe.oracles import (
-    _possible_successors, brute_force_safe_walks, component_split, count_best, count_by_states,
-    enumerate_eulerian_circuits, pevzner_intersection_graph,
-)
-from families import GENOMES, brute_force_blocks, corpus, genome, raw_multigraphs, renumbered, simple_sample
-
-FAMILIES = {
-    "corpus-5": lambda: corpus(5),
-    "simple-sample": simple_sample,
-    "raw-multigraphs": lambda: raw_multigraphs(1000, seed=7),
-    "genomes": lambda: tuple(genome(*row).graph for row in GENOMES),
-}
-
-# Which oracles run on which family. Pevzner's cycle-intersection tree and
-# the component split at each node of degree 2 or more run on all of them.
-#   splice:      _possible_successors, the successors some circuit takes;
-#   count:       count_by_states and count_best;
-#   first-two:   enumerate_eulerian_circuits capped at two circuits;
-#   enumerate:   every circuit up to 12 edges, else the first two;
-#   blocks:      brute_force_blocks, from a split at every node;
-#   brute-walks: brute_force_safe_walks.
-# The genomes are too large for all but the first two; test_genome.py
-# checks them against their closed form. On corpus-5 the splice test
-# alone checks the walks, the definition brute-walks applies, and the
-# sample stands in for full enumeration: either would double its cost.
-SMALL = {"splice", "count", "blocks"}
-ORACLES = {
-    "corpus-5": SMALL | {"first-two"},
-    "simple-sample": SMALL | {"enumerate", "brute-walks"},
-    "raw-multigraphs": SMALL | {"enumerate", "brute-walks"},
-    "genomes": set(),
-}
+from eulersafe import Graph, maximal_safe_walks, random_eulerian_edges
+from eulersafe.oracles import count_best
+from families import COLUMNS, FAMILIES, checked
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_fast_answers_match_the_oracles(family):
-    for g in FAMILIES[family]():
-        _check(g, ORACLES[family])
+    for column in COLUMNS:
+        checked(family, column)
 
 
-def _check(g: Graph, oracles: set) -> None:
-    m, heads, tails, labels = g.num_edges, g.heads, g.tails, g.labels
-    edges = list(g.edge_pairs())
-    out_edges = [g.eid[s:t] for s, t in zip(g.off, g.out_end)]
-    in_edges = [g.eid[s:t] for s, t in zip(g.out_end, g.off[1:])]
-    degree = list(map(len, out_edges))
+def test_uniqueness_equivalence_exhaustive():
+    """has_unique <=> exactly one enumerated circuit <=> state count 1 <=>
+    BEST count 1."""
+    for family in ("corpus-5", "simple-sample"):
+        # The count column, BEST against the state count, ran on every graph.
+        assert checked(family, "uniqueness")["graphs"] == checked(family, "count")["graphs"]
 
-    # Each oracle once. A head of degree 1 has one out-edge, which every
-    # circuit takes; elsewhere the splice test decides.
-    possible = None
-    if "splice" in oracles:
-        possible = [
-            _possible_successors(g, e) if degree[heads[e]] > 1 else list(out_edges[heads[e]])
-            for e in range(m)
-        ]
-    splits = {v: component_split(g, x) for v, x in enumerate(labels) if degree[v] > 1 or "blocks" in oracles}
-    circuits = enumerate_eulerian_circuits(g).circuits if "enumerate" in oracles and m <= 12 else None
 
-    # Uniqueness and the count.
-    unique = has_unique_eulerian_circuit(g)
-    assert pevzner_intersection_graph(g).is_tree == unique, edges
-    if circuits is not None:
-        assert (len(circuits) == 1) == unique, edges
-    elif oracles & {"first-two", "enumerate"}:
-        assert (enumerate_eulerian_circuits(g, cap=2).count == 1) == unique, edges
-    if "count" in oracles:
-        states = count_by_states(g)
-        assert count_circuits(g) == count_best(g).epsilon == states, edges
-        assert (states == 1) == unique, edges
-        assert circuits is None or len(circuits) == states, edges
+def test_circuit_count_matches_enumeration():
+    """Exact circuit counts: determinant formula vs. the exhaustive state
+    count, and two formula spot checks worked out by hand."""
+    for family in ("corpus-5", "simple-sample"):
+        checked(family, "count")
+    bidirected = Graph([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "c"), ("c", "a")])
+    assert count_best(bidirected).epsilon == 3
+    three = Graph([(x, y) for p in "abc" for x, y in (("v", p + "1"), (p + "1", p + "2"), (p + "2", "v"))])
+    assert count_best(three).epsilon == 2
 
-    # (e, f) is safe iff f is the only successor of e that some circuit
-    # takes, so iff every circuit takes it.
-    block, _, in_a = safety._forcing(g)
-    forced = safety._forced_successors(g, block, in_a)
-    checker = SafePairChecker(g)
-    if possible is not None:
-        every = circuits and set.intersection(
-            *(set(zip(c.edges, c.edges[1:] + c.edges[:1])) for c in circuits)
-        )
-        for e in range(m):
-            assert forced[e] == (possible[e][0] if len(possible[e]) == 1 else -1), (edges, e)
-            for f in out_edges[heads[e]]:
-                safe = possible[e] == [f]
-                assert checker.check(e, f).safe == safe, (edges, e, f)
-                assert every is None or ((e, f) in every) == safe, (edges, e, f)
 
-    # The walks partition the edges into maximal chains of safe pairs.
-    report = maximal_safe_walks(g)
-    assert report.unique_circuit == unique, edges
-    assert sorted(e for w in report.walks for e in w) == list(range(m)), edges
-    for w in report.walks:
-        assert is_valid_walk(g, w), (edges, w)
-        if possible is not None:
-            assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)
-            assert possible[w[-1]] == [w[0]] if unique else len(possible[w[-1]]) == 2, (edges, w)
-    if "brute-walks" in oracles:
-        assert report == brute_force_safe_walks(g), edges
+def test_safe_walks_match_brute_force():
+    """Linear-time maximal safe walks equal the definitional brute force."""
+    for family in ("corpus-5", "simple-sample"):
+        checked(family, "walks")
 
-    # Cut nodes, forcing flags and sides. A node of degree 1 is never a
-    # cut node: without the other, each side would be unbalanced.
-    classes = classify_nodes(g)
-    cuts = articulation_points(g)
-    for v, label in enumerate(labels):
-        d, split = degree[v], splits.get(v)
-        is_cut = split is not None and split.count > 1
-        loop = v in (heads[e] for e in out_edges[v])
-        forcing = d == 1 or d == 2 and (is_cut or loop)
-        assert classes[label][1:] == (d, is_cut, forcing) and (label in cuts) == is_cut, (edges, label)
-        if d != 2 or loop or not is_cut:
-            continue
-        # Two components, each with one out- and one in-neighbour of v.
-        # Side 0 holds node 0, or, when v is node 0, the head of its
-        # lowest-id out-edge.
-        comp = split.component
-        home = comp[labels[heads[min(out_edges[v])] if v == 0 else 0]]
-        side = {e: int(comp[labels[heads[e]]] != home) for e in out_edges[v]}
-        side |= {e: int(comp[labels[tails[e]]] != home) for e in in_edges[v]}
-        assert split.count == 2, (edges, label)
-        assert sorted(side[e] for e in out_edges[v]) == [0, 1] == sorted(side[e] for e in in_edges[v])
-        (out1,) = [e for e in out_edges[v] if side[e]]
-        (in1,) = [e for e in in_edges[v] if side[e]]
-        assert safety._sides(g, block, v) == (out1, in1), (edges, label)
-        for e1 in in_edges[v]:
-            for e2 in out_edges[v]:
-                assert checker.check(e1, e2)[2:] == (side[e1], side[e2]), (edges, e1, e2)
 
-    if "blocks" in oracles:
-        block_ids, count = edge_blocks(g)
-        components = [splits[v].component for v in range(g.num_nodes)]
-        assert renumbered(block_ids) == brute_force_blocks(g, components), edges
-        assert count == max(block_ids) + 1, edges
+def test_conservation():
+    """Walks always partition the edge set, simple graphs and multigraphs."""
+    for family in ("corpus-5", "raw-multigraphs"):
+        checked(family, "walks")
+
+
+def test_cut_split_property():
+    """Removing a degree-2 cut node leaves exactly 2 components, each seeing
+    one of its in-neighbors and one of its out-neighbors."""
+    assert checked("corpus-5", "sides")["degree-2 cut nodes"] > 0
 
 
 def _pipeline_seconds(g: Graph) -> float:

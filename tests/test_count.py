@@ -17,7 +17,7 @@ from eulersafe import (
 )
 from eulersafe.circuit import MAX_BLOCK_NODES, edge_blocks
 from eulersafe.oracles import count_by_states
-from families import as_graph, brute_force_blocks, renumbered
+from families import as_graph, brute_force_blocks, checked, renumbered
 
 
 def closed_walks(max_nodes: int = 5, max_len: int = 5, max_walks: int = 4):
@@ -41,6 +41,10 @@ def test_counter_matches_oracles_on_raw_multigraphs(edges):
     assume(is_eulerian(g))
     count = count_circuits(g)
     assert count == count_best(normalize(g)[0]).epsilon == count_by_states(g)
+
+
+def test_counter_matches_oracle_on_corpus():
+    checked("corpus-5", "count")
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -163,6 +167,9 @@ class TestEdgeBlocks:
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
             edge_blocks(underlying_undirected(g))
+
+    def test_matches_brute_force_on_corpus(self):
+        checked("corpus-5", "blocks")
 
     @settings(max_examples=200, deadline=None)
     @given(closed_walks(max_nodes=7, max_len=6, max_walks=5))

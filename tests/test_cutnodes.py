@@ -12,7 +12,7 @@ from eulersafe import (
     underlying_undirected,
 )
 from eulersafe.circuit import edge_blocks
-from families import brute_force_blocks, renumbered
+from families import brute_force_blocks, checked, renumbered
 
 
 def brute_force_cut_nodes(u) -> set:
@@ -78,6 +78,15 @@ class TestArticulationPoints:
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
             articulation_points(underlying_undirected(g))
+
+    def test_matches_brute_force_on_corpus(self):
+        # The harness's sides column: cut nodes against component_split.
+        checked("corpus-5", "sides")
+
+    def test_matches_brute_force_on_larger_sample(self):
+        # The multigraphs add self-loops, at node 0 too, and parallel pairs.
+        for family in ("simple-sample", "raw-multigraphs"):
+            checked(family, "sides")
 
 
 class TestComponentSplit:

@@ -26,7 +26,7 @@ from eulersafe.oracles import (
     enumerate_eulerian_circuits,
     pevzner_intersection_graph,
 )
-from families import canonical_rotation, corpus, ring
+from families import canonical_rotation, checked, corpus, ring
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import make_cactus  # noqa: E402
@@ -92,6 +92,12 @@ class TestEnumeration:
     def test_count_without_storing(self, bidirected_triangle, three_triangles):
         assert count_by_states(bidirected_triangle) == 3
         assert count_by_states(three_triangles) == 2
+
+    def test_count_matches_the_state_count(self):
+        # Every circuit is listed up to 12 edges, self-loops and parallel
+        # edges included.
+        for family in ("corpus-5", "raw-multigraphs"):
+            checked(family, "count")
 
     def test_rejects_non_eulerian(self):
         with pytest.raises(ContractError):
@@ -259,6 +265,13 @@ class TestCircuitCounting:
         with pytest.raises(ContractError, match="not Eulerian"):
             count_best(Graph([("a", "b")]))
 
+    def test_matches_enumeration_on_corpus(self):
+        checked("corpus-5", "count")
+
+    def test_matches_counters_on_raw_multigraphs(self):
+        # The BEST theorem holds on multigraphs as they are: no rewrite.
+        checked("raw-multigraphs", "count")
+
 
 class TestStateCount:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 14])
@@ -348,6 +361,12 @@ class TestIntersectionGraph:
         assert gi.cycle_edges == ((0, 2), (1, 3))
         assert sorted(gi.edges) == [(0, 1, "a"), (0, 1, "b")]
         assert not gi.is_tree
+
+    def test_tree_verdict_matches_uniqueness(self):
+        checked("corpus-5", "uniqueness")
+
+    def test_tree_verdict_on_raw_multigraphs(self):
+        checked("raw-multigraphs", "uniqueness")
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_loops_at_one_node(self, d):

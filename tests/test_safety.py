@@ -19,7 +19,7 @@ from eulersafe import safety
 from eulersafe.oracles import brute_force_safe_walks, enumerate_eulerian_circuits
 from eulersafe.cli import WALK_CHUNK
 
-from families import canonical_rotation, cycling_successors, raw_multigraphs, ring, simple_sample
+from families import canonical_rotation, checked, cycling_successors, raw_multigraphs, ring, simple_sample
 
 
 class TestClassifyNodes:
@@ -133,6 +133,11 @@ class TestSafePair:
         assert checker.check(5, 0).safe
         assert not checker.check(5, 3).safe
 
+    def test_matches_circuit_enumeration(self):
+        # Safe iff the pair occurs (consecutively, circularly) in every
+        # circuit: the pairs column lists every circuit up to 12 edges.
+        checked("corpus-5", "pairs")
+
 
 class TestUniqueness:
     def test_examples(self, triangle, figure_eight, bidirected_triangle, three_triangles):
@@ -163,11 +168,14 @@ class TestUniqueness:
         with pytest.raises(ContractError, match="not Eulerian"):
             has_unique_eulerian_circuit(Graph([("a", "b")]))
 
+    def test_matches_enumeration_on_corpus(self):
+        checked("corpus-5", "uniqueness")
+
     def test_matches_enumeration_on_multigraphs(self):
         rng = random.Random(42)
         pool = "abc"
-        checked = 0
-        while checked < 200:
+        found = 0
+        while found < 200:
             base = [
                 (rng.choice(pool), rng.choice(pool))
                 for _ in range(rng.randint(1, 3))
@@ -176,7 +184,7 @@ class TestUniqueness:
             g = Graph(edges)
             if not is_eulerian(g):
                 continue
-            checked += 1
+            found += 1
             ng, _ = normalize(g)
             count = enumerate_eulerian_circuits(ng, cap=2).count
             assert has_unique_eulerian_circuit(g) == (count == 1), edges
@@ -199,6 +207,15 @@ class TestMaximalSafeWalks:
         report = maximal_safe_walks(bidirected_triangle)
         assert sorted(report.walks) == [(e,) for e in range(6)]
         assert sum(map(len, report.walks)) == 6
+
+    def test_walks_partition_edges(self):
+        checked("corpus-5", "walks")
+
+    def test_matches_brute_force_on_corpus(self):
+        checked("corpus-5", "walks")
+
+    def test_matches_brute_force_on_random_sample(self):
+        checked("simple-sample", "walks")
 
     def test_independent_of_circuit_choice(self):
         # Every circuit, cut at every occurrence of a non-forcing node, gives
@@ -330,6 +347,32 @@ def de_bruijn_edges(seed: int, bases: int = 100_000, k: int = 12) -> list[tuple[
     text = "".join(genome)
     text += text[: k - 1]
     return [(text[i : i + k - 1], text[i + 1 : i + k]) for i in range(bases)]
+
+
+def test_walks_are_maximal_chains_of_safe_pairs():
+    """Every consecutive pair inside a walk is safe; when the circuit is
+    not unique, no pair that leaves a walk's last edge is."""
+    for family in ("corpus-5", "raw-multigraphs"):
+        checked(family, "walks")
+
+
+def test_side_0_holds_node_0():
+    """At a loop-free forcing degree-2 node v, side 0 is the pair whose other
+    ends lie in the component of g - v that holds node 0, or, when v is node
+    0, the one that holds the head of its lowest-id out-edge: a numbering
+    that does not depend on the analysis DFS."""
+    nodes = sum(checked(family, "sides")["degree-2 cut nodes"] for family in ("corpus-5", "raw-multigraphs"))
+    assert nodes > 1000
+
+
+def test_pair_verdicts_match_the_definition():
+    """A pair (e, f) is safe exactly when f is the only successor of e that
+    some circuit takes, by splicing the pair into one edge, and that f is
+    then the forced successor the walks follow. This covers every
+    consecutive pair, a self-loop with itself and those at nodes of degree
+    3 or more included."""
+    high = sum(checked(family, "pairs")["pairs at degree >= 3"] for family in ("corpus-5", "raw-multigraphs"))
+    assert high > 10_000
 
 
 def test_de_bruijn_genome():
