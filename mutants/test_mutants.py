@@ -42,6 +42,7 @@ HARNESS = "tests/test_acceptance.py::test_fast_answers_match_the_oracles"
 GENOME = "tests/test_genome.py::test_planted_genome_matches_the_closed_form"
 CHAINS = "tests/test_cutnodes.py::TestChains::test_cut_nodes_and_blocks_match_the_definition"
 SAFETY = "tests/test_safety.py::"
+CONSERVATION = "tests/test_acceptance.py::test_conservation"
 
 MUTANTS = [
     # The block-label rule: v is a cut node iff a neighbour's label is
@@ -146,6 +147,21 @@ MUTANTS = [
         "                if off[w + 1] - off[w] != 2:\n",
         "                if off[w + 1] - off[w] not in (2, 4):\n",
         (HARNESS + "[simple-sample]", CHAINS + "[chain entered by an in-edge]", GENOME + "[2-3000-1-3000]"),
+    ),
+    # The walk follower and the partition of the edges into walks.
+    Mutant(
+        "walks: a unique circuit not closed",
+        "src/eulersafe/safety.py",
+        "        if e < 0 or e == first:\n",
+        "        if e < 0:\n",
+        (HARNESS + "[generator]", CONSERVATION),
+    ),
+    Mutant(
+        "walks: started at the edges entering a non-forcing node",
+        "src/eulersafe/safety.py",
+        "map(in_a.__getitem__, g.tails)",
+        "map(in_a.__getitem__, g.heads)",
+        (HARNESS + "[generator]", CONSERVATION),
     ),
 ]
 

@@ -254,38 +254,42 @@ def renumbered(block) -> list[int]:
     return [-1 if b < 0 else first.setdefault(b, len(first)) for b in block]
 
 
-# The differential harness. A column compares one fast answer with the
-# oracles that ORACLES runs on a family. Each oracle runs once per graph
-# and is kept for the session, so the columns, and the tests that ask for
-# them, share it.
-FAMILIES = {
-    "corpus-5": lambda: corpus(5),
-    "simple-sample": simple_sample,
-    "raw-multigraphs": lambda: raw_multigraphs(1000, seed=7),
-    "genomes": lambda: tuple(genome(*row).graph for row in GENOMES),
-}
+@cache
+def generator_sample() -> tuple[Graph, ...]:
+    """1,000 seeded generator outputs as drawn, not normalized: 2 to 12
+    nodes, 1 to 4 cycles, up to 40 edges."""
+    rng = random.Random(20240818)
+    return tuple(
+        Graph(random_eulerian_edges(rng.randint(2, 12), rng.randint(1, 4), seed=rng)) for _ in range(1000)
+    )
 
-# Which oracles run on which family. Pevzner's cycle-intersection tree and
-# the component split at each node of degree 2 or more run on all of them.
-#   splice:      _possible_successors, the successors some circuit takes;
-#   count:       count_by_states and count_best;
-#   enumerate:   every circuit up to 12 edges, else the first two;
-#   blocks:      brute_force_blocks, from a split at every node;
-#   brute-walks: brute_force_safe_walks.
-# The genomes are too large for the rest; test_genome.py checks them
+
+# The differential harness. A column compares one fast answer with the
+# oracles on every graph of a family; each oracle runs once per graph and
+# is kept for the session, so the columns, and the tests that ask for
+# them, share it.
+#
+# FAMILIES fixes which oracles run where: Pevzner's cycle-intersection
+# tree and the component split at each node of degree 2 or more run on
+# every family. A small family also runs the rest: the splice test
+# (_possible_successors), count_by_states, every circuit up to 12 edges,
+# the split at every node for brute_force_blocks, and
+# brute_force_safe_walks. The state count refuses some generator outputs
+# and the genomes are far too large; test_genome.py checks the genomes
 # against their closed form.
-SMALL = {"splice", "count", "enumerate", "blocks", "brute-walks"}
-ORACLES = {
-    "corpus-5": SMALL,
-    "simple-sample": SMALL,
-    "raw-multigraphs": SMALL,
-    "genomes": set(),
+FAMILIES = {
+    # name: (build, small)
+    "corpus-5": (lambda: corpus(5), True),
+    "simple-sample": (simple_sample, True),
+    "raw-multigraphs": (lambda: raw_multigraphs(1000, seed=7), True),
+    "generator": (generator_sample, False),
+    "genomes": (lambda: tuple(genome(*row).graph for row in GENOMES), False),
 }
 
 
 @cache
 def graphs(family: str) -> tuple[Graph, ...]:
-    return FAMILIES[family]()
+    return FAMILIES[family][0]()
 
 
 def _out_edges(g: Graph) -> list:
@@ -316,63 +320,65 @@ def _enumerated(g: Graph) -> Enumerated:
     return Enumerated(len(circuits), every)
 
 
-_ORACLE = {
-    "splice": _possible,
-    "count": count_by_states,
-    "enumerate": _enumerated,
-}
+class Oracles(NamedTuple):
+    possible: list[list[int]]
+    states: int
+    enumerated: Enumerated
 
 
 @cache
-def _oracle(family: str, name: str) -> list:
-    """One oracle's answer for every graph of a family, or None for each
-    graph where the family's row in ORACLES leaves it out. The split runs
-    at every node where the blocks oracle runs, else at nodes of degree 2
-    or more."""
-    if name == "split":
-        every_node = "blocks" in ORACLES[family]
-        return [
-            {v: component_split(g, x) for v, x in enumerate(g.labels) if every_node or g.out_end[v] - g.off[v] > 1}
-            for g in graphs(family)
-        ]
-    if name not in ORACLES[family]:
-        return [None] * len(graphs(family))
-    return [_ORACLE[name](g) for g in graphs(family)]
+def _oracles(family: str) -> list:
+    """The splice test, the state count and the enumeration for each
+    graph of a small family; None for each graph of any other."""
+    small = FAMILIES[family][1]
+    return [Oracles(_possible(g), count_by_states(g), _enumerated(g)) if small else None for g in graphs(family)]
+
+
+@cache
+def _splits(family: str) -> list[dict]:
+    """component_split at every node of a small family, else at the nodes
+    of degree 2 or more."""
+    small = FAMILIES[family][1]
+    return [
+        {v: component_split(g, x) for v, x in enumerate(g.labels) if small or g.out_end[v] - g.off[v] > 1}
+        for g in graphs(family)
+    ]
 
 
 def _uniqueness(family: str, tally: Counter) -> None:
     # has_unique_eulerian_circuit against the Pevzner tree, the enumerated
     # circuits and the state count.
-    for g, enumerated, states in zip(graphs(family), _oracle(family, "enumerate"), _oracle(family, "count")):
+    for g, oracles in zip(graphs(family), _oracles(family)):
         edges = list(g.edge_pairs())
         unique = has_unique_eulerian_circuit(g)
         assert pevzner_intersection_graph(g).is_tree == unique, edges
-        assert enumerated is None or (enumerated.count == 1) == unique, edges
-        assert states is None or (states == 1) == unique, edges
+        if oracles:
+            assert (oracles.enumerated.count == 1) == unique == (oracles.states == 1), edges
         tally["graphs"] += 1
 
 
 def _count(family: str, tally: Counter) -> None:
     # count_circuits against count_best and count_by_states, and the
     # listed circuits against the state count.
-    for g, enumerated, states in zip(graphs(family), _oracle(family, "enumerate"), _oracle(family, "count")):
-        if states is None:
+    for g, oracles in zip(graphs(family), _oracles(family)):
+        if oracles is None:
             continue
         edges = list(g.edge_pairs())
+        _, states, enumerated = oracles
         assert count_circuits(g) == count_best(g).epsilon == states, edges
-        assert enumerated is None or enumerated.every is None or enumerated.count == states, edges
+        assert enumerated.every is None or enumerated.count == states, edges
         tally["graphs"] += 1
 
 
 def _pairs(family: str, tally: Counter) -> None:
     # (e, f) is safe iff f is the only successor of e that some circuit
     # takes, so iff every circuit takes it; then f is e's forced successor.
-    for g, possible, enumerated in zip(graphs(family), _oracle(family, "splice"), _oracle(family, "enumerate")):
-        if possible is None:
+    for g, oracles in zip(graphs(family), _oracles(family)):
+        if oracles is None:
             continue
         edges = list(g.edge_pairs())
         out_edges = _out_edges(g)
-        every = enumerated and enumerated.every
+        possible, every = oracles.possible, oracles.enumerated.every
         block, _, in_a = safety._forcing(g)
         forced = safety._forced_successors(g, block, in_a)
         checker = SafePairChecker(g)
@@ -388,8 +394,7 @@ def _pairs(family: str, tally: Counter) -> None:
 
 def _walks(family: str, tally: Counter) -> None:
     # The walks partition the edges into maximal chains of safe pairs.
-    brute = "brute-walks" in ORACLES[family]
-    for g, possible in zip(graphs(family), _oracle(family, "splice")):
+    for g, oracles in zip(graphs(family), _oracles(family)):
         edges = list(g.edge_pairs())
         unique = has_unique_eulerian_circuit(g)
         report = maximal_safe_walks(g)
@@ -397,17 +402,18 @@ def _walks(family: str, tally: Counter) -> None:
         assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges)), edges
         for w in report.walks:
             assert is_valid_walk(g, w), (edges, w)
-            if possible is not None:
+            if oracles:
+                possible = oracles.possible
                 assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)
                 assert possible[w[-1]] == [w[0]] if unique else len(possible[w[-1]]) == 2, (edges, w)
-        assert not brute or report == brute_force_safe_walks(g), edges
+        assert not oracles or report == brute_force_safe_walks(g), edges
         tally["walks"] += len(report.walks)
 
 
 def _sides(family: str, tally: Counter) -> None:
     # Cut nodes, forcing flags and sides. A node of degree 1 is never a
     # cut node: without the other, each side would be unbalanced.
-    for g, splits in zip(graphs(family), _oracle(family, "split")):
+    for g, splits in zip(graphs(family), _splits(family)):
         edges, labels, heads, tails = list(g.edge_pairs()), g.labels, g.heads, g.tails
         out_edges = _out_edges(g)
         in_edges = [g.eid[s:t] for s, t in zip(g.out_end, g.off[1:])]
@@ -444,9 +450,9 @@ def _sides(family: str, tally: Counter) -> None:
 
 def _blocks(family: str, tally: Counter) -> None:
     # edge_blocks against the labels straight from the definition.
-    if "blocks" not in ORACLES[family]:
+    if not FAMILIES[family][1]:
         return
-    for g, splits in zip(graphs(family), _oracle(family, "split")):
+    for g, splits in zip(graphs(family), _splits(family)):
         block_ids, count = edge_blocks(g)
         components = [splits[v].component for v in range(g.num_nodes)]
         assert renumbered(block_ids) == brute_force_blocks(g, components), list(g.edge_pairs())

@@ -47,8 +47,9 @@ def test_safe_walks_match_brute_force():
 
 
 def test_conservation():
-    """Walks always partition the edge set, simple graphs and multigraphs."""
-    for family in ("corpus-5", "raw-multigraphs"):
+    """Walks always partition the edge set: simple graphs, generator output
+    as drawn, and multigraphs."""
+    for family in ("corpus-5", "generator", "raw-multigraphs"):
         checked(family, "walks")
 
 
