@@ -43,6 +43,7 @@ GENOME = "tests/test_genome.py::test_planted_genome_matches_the_closed_form"
 CHAINS = "tests/test_cutnodes.py::TestChains::test_cut_nodes_and_blocks_match_the_definition"
 SAFETY = "tests/test_safety.py::"
 CONSERVATION = "tests/test_acceptance.py::test_conservation"
+STARTUP = "tests/test_startup.py::test_command_loads_only_what_it_runs"
 
 MUTANTS = [
     # The block-label rule: v is a cut node iff a neighbour's label is
@@ -162,6 +163,28 @@ MUTANTS = [
         "map(in_a.__getitem__, g.tails)",
         "map(in_a.__getitem__, g.heads)",
         (HARNESS + "[generator]", CONSERVATION),
+    ),
+    # Start-up: each command imports only the code it runs.
+    Mutant(
+        "start-up: argparse imported by cli",
+        "src/eulersafe/cli.py",
+        "import sys\nfrom collections.abc import",
+        "import argparse\nimport sys\nfrom collections.abc import",
+        (STARTUP + "[check]", STARTUP + "[gen]"),
+    ),
+    Mutant(
+        "start-up: safety imported by cli",
+        "src/eulersafe/cli.py",
+        "_read_edge_list, is_eulerian\n",
+        "_read_edge_list, is_eulerian\nfrom .safety import _safe_walks\n",
+        (STARTUP + "[check]", STARTUP + "[gen]"),
+    ),
+    Mutant(
+        "start-up: typing imported by graph",
+        "src/eulersafe/graph.py",
+        "from operator import add\n",
+        "from operator import add\nfrom typing import NamedTuple\n",
+        (STARTUP + "[check]", STARTUP + "[safe-structured]"),
     ),
 ]
 

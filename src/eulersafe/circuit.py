@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from itertools import accumulate
 from math import factorial, lgamma, log, log10
-from typing import Optional, Sequence
 
 from .graph import Circuit, ContractError, Graph, is_valid_walk, require_eulerian
 
@@ -27,7 +27,7 @@ MAX_BLOCK_NODES = 150
 MAX_COUNT_DIGITS = 100_000
 
 
-def find_eulerian_circuit(g: Graph, stats: Optional[dict] = None) -> Circuit:
+def find_eulerian_circuit(g: Graph, stats: dict | None = None) -> Circuit:
     """Build an Eulerian circuit in O(|E|) time (Hierholzer).
 
     Out-edges are consumed in ascending edge-id order, so the result is

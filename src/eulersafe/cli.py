@@ -10,9 +10,9 @@ count or an oracle comparison refused by its size bounds (see
 """
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from types import SimpleNamespace
 
 # Each command imports the rest of what it runs, so that start-up pays only
 # for the code that command uses.
@@ -251,49 +251,93 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eulersafe",
-        description="Eulerian circuit uniqueness and maximal safe walks",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="is the graph Eulerian?")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("unique", help="does the graph have a unique Eulerian circuit?")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_unique)
-
-    p = sub.add_parser("safe", help="compute all maximal safe walks")
-    p.add_argument("path")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.set_defaults(func=cmd_safe)
-
-    p = sub.add_parser("count", help="count Eulerian circuits (rotation classes)")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser(
-        "oracle-compare", help="cross-check the linear-time results against oracles"
-    )
-    p.add_argument("path")
-    p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("gen", help="emit a random Eulerian multigraph edge list")
-    p.add_argument("nodes", type=int)
-    p.add_argument("cycles", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_gen)
-    return parser
+# The commands, in the order -h lists them: each one's help line, its
+# positionals and its options, with their types or choices. An option's
+# default is its first choice, or its type's zero. main() looks cmd_<command>
+# up, dashes as underscores, when it runs it.
+_COMMANDS = {
+    "check": ("is the graph Eulerian?", {"path": str}, {}),
+    "unique": ("does the graph have a unique Eulerian circuit?", {"path": str}, {}),
+    "safe": ("compute all maximal safe walks", {"path": str}, {"format": ("text", "structured")}),
+    "count": ("count Eulerian circuits (rotation classes)", {"path": str}, {}),
+    "oracle-compare": ("cross-check the linear-time results against oracles", {"path": str}, {}),
+    "gen": ("emit a random Eulerian multigraph edge list", {"nodes": int, "cycles": int}, {"seed": int}),
+}
+_USAGE = f"eulersafe [-h] {{{','.join(_COMMANDS)}}} ..."
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _usage_error(usage: str, message: str) -> None:
+    """Write argparse's two lines for a usage error and exit 2."""
+    sys.stderr.write(f"usage: {usage}\n{usage.partition(' [')[0]}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _value(usage: str, name: str, kind, text: str):
+    """``text`` as argument ``name``, of type ``kind`` or one of its choices."""
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        message = f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+    else:
+        try:
+            return kind(text)
+        except ValueError:
+            message = f"invalid {kind.__name__} value: {text!r}"
+    _usage_error(usage, f"argument {name}: {message}")
+
+
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
+    """The command ``argv`` names and its arguments, by its ``_COMMANDS`` row
+    and argparse's rules; a lone "-" and a negative number are positionals."""
+    if argv[:1] in (["-h"], ["--help"]):
+        rows = "".join(f"  {name:<16}{row[0]}\n" for name, row in _COMMANDS.items())
+        print(f"usage: {_USAGE}\n\nEulerian circuit uniqueness and maximal safe walks\n\n{rows}", end="")
+        raise SystemExit(0)
+    if not argv:
+        _usage_error(_USAGE, "the following arguments are required: command")
+    name = _value(_USAGE, "command", tuple(_COMMANDS), argv[0])
+    about, positionals, options = _COMMANDS[name]
+    wanted = list(positionals)
+    usage = f"eulersafe {name} [-h]" + "".join(
+        f" [--{k} {{{','.join(v)}}}]" if isinstance(v, tuple) else f" [--{k} {k.upper()}]"
+        for k, v in options.items()
+    ) + "".join(f" {key}" for key in wanted)
+    args = SimpleNamespace(**{k: v[0] if isinstance(v, tuple) else v() for k, v in options.items()})
+    extra = []
+    ended = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        key, eq, text = token[2:].partition("=")
+        if ended or token[:1] != "-" or token == "-" or token[1:].isdigit():
+            if wanted:
+                dest = wanted.pop(0)
+                setattr(args, dest, _value(usage, dest, positionals[dest], token))
+            else:
+                extra.append(token)
+        elif token == "--":
+            ended = True
+        elif token in ("-h", "--help"):
+            print(f"usage: {usage}\n\n{about}")
+            raise SystemExit(0)
+        elif token[:2] == "--" and key in options:
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    _usage_error(usage, f"argument --{key}: expected one argument")
+            setattr(args, key, _value(usage, f"--{key}", options[key], text))
+        else:
+            extra.append(token)
+    if wanted:
+        _usage_error(usage, f"the following arguments are required: {', '.join(wanted)}")
+    if extra:
+        _usage_error(_USAGE, f"unrecognized arguments: {' '.join(extra)}")
+    return name, args
+
+
+def main(argv: list[str] | None = None) -> int:
+    name, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + name.replace("-", "_")](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

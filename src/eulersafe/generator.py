@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Union
 
 from .graph import GraphError
 
@@ -21,7 +20,7 @@ MAX_GEN_EDGES = 4_000_000
 def random_eulerian_edges(
     num_nodes: int,
     num_cycles: int,
-    seed: Union[int, random.Random, None] = None,
+    seed: int | random.Random | None = None,
 ) -> list[tuple[str, str]]:
     """Superpose random simple directed cycles over ``num_nodes`` nodes.
 
@@ -38,9 +37,7 @@ def random_eulerian_edges(
     return [(names[t], names[h]) for t, h in zip(*_draw(num_nodes, num_cycles, seed))]
 
 
-def _draw(
-    num_nodes: int, num_cycles: int, seed: Union[int, random.Random, None]
-) -> tuple[array, array]:
+def _draw(num_nodes: int, num_cycles: int, seed: int | random.Random | None) -> tuple[array, array]:
     """The edges of :func:`random_eulerian_edges` as two ``array("i")``
     columns, tail and head node ids, node i being v{i}: 8 bytes per edge."""
     if num_nodes < 2:

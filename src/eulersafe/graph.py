@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from array import array
 from codecs import getincrementaldecoder
-from io import IncrementalNewlineDecoder
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
+from io import BufferedIOBase, IncrementalNewlineDecoder
 from itertools import accumulate, chain, compress, repeat
 from operator import add
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 class GraphError(Exception):
@@ -156,19 +157,17 @@ class Graph:
         return f"Graph(nodes={len(self.labels)}, edges={len(self.tails)})"
 
 
-class Circuit(NamedTuple):
+class Circuit(namedtuple("Circuit", "edges")):
     """Edge ids of a closed walk: the last edge ends where the first starts."""
 
-    edges: tuple[int, ...]
+    __slots__ = ()
+
+    # The generated _make, which _replace goes through, checks the field
+    # count with len(), which counts edges on a Circuit.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-# The generated _make, which _replace goes through, checks the field count
-# with len(), which counts edges on a Circuit. NamedTuple forbids
-# redefining _make in the class body.
-Circuit._make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def walk_nodes(g: Graph, edges: Sequence[int]) -> list[str]:
@@ -217,7 +216,7 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(_edge_tokens(_lines(slices)))
 
 
-def _read_edge_list(handle: BinaryIO) -> Graph:
+def _read_edge_list(handle: BufferedIOBase) -> Graph:
     """:func:`parse_edge_list` of the binary file ``handle``, read once,
     ``BLOCK_SIZE`` bytes at a time, as UTF-8. Errors come in input order:
     a byte that is not UTF-8 raises :class:`ParseError` with its offset in
@@ -289,13 +288,10 @@ def _edge_tokens(lines: Iterable[list[str]]) -> Iterator[list[str]]:
         raise ParseError("graph must have at least one edge")
 
 
-class EulerCheck(NamedTuple):
+class EulerCheck(namedtuple("EulerCheck", "ok reason witness detail", defaults=(None, None, None))):
     """Verdict of the Eulerian-ness test, with a witness on failure."""
 
-    ok: bool
-    reason: Optional[str] = None
-    witness: Optional[str] = None
-    detail: Optional[str] = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

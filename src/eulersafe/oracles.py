@@ -18,10 +18,10 @@ remains for ``bench/`` until ROADMAP item 1.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations, islice
 from math import factorial
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .circuit import MAX_BLOCK_NODES, _bareiss_determinant
 from .graph import Circuit, ContractError, Graph
@@ -36,26 +36,23 @@ from .safety import SafeWalkReport
 MAX_STATE_WORK = 2**29
 
 
-class EnumerationResult(NamedTuple):
+class EnumerationResult(namedtuple("EnumerationResult", "circuits overflow")):
     """Eulerian circuits, one per rotation class (anchored at edge id 0)."""
 
-    circuits: tuple[Circuit, ...]
-    overflow: bool
+    __slots__ = ()
 
     @property
     def count(self) -> int:
         return len(self.circuits)
 
 
-class CountReport(NamedTuple):
+class CountReport(namedtuple("CountReport", "epsilon t degree_factorial_product")):
     """Exact circuit count and its two factors, as Python big integers."""
 
-    epsilon: int
-    t: int
-    degree_factorial_product: int
+    __slots__ = ()
 
 
-class IntersectionGraph(NamedTuple):
+class IntersectionGraph(namedtuple("IntersectionGraph", "cycles cycle_edges edges is_tree")):
     """Cycle decomposition and its intersection graph.
 
     ``cycles[i]`` is a node-label sequence with first == last;
@@ -64,13 +61,12 @@ class IntersectionGraph(NamedTuple):
     cycle pair; ``is_tree`` counts those multiedges.
     """
 
-    cycles: tuple[tuple[str, ...], ...]
-    cycle_edges: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, str], ...]
-    is_tree: bool
+    __slots__ = ()
 
 
-class NormalizationMap(NamedTuple):
+class NormalizationMap(
+    namedtuple("NormalizationMap", "origin half subdivision_nodes self_loops parallel_duplicates")
+):
     """Provenance of a normalization pass. It remains for ``bench/`` until
     ROADMAP item 1.
 
@@ -79,11 +75,7 @@ class NormalizationMap(NamedTuple):
     one, 1 for the second half.
     """
 
-    origin: tuple[int, ...]
-    half: tuple[int, ...]
-    subdivision_nodes: frozenset[str]
-    self_loops: int
-    parallel_duplicates: int
+    __slots__ = ()
 
     @property
     def is_identity(self) -> bool:
@@ -332,7 +324,7 @@ def _circuits(g: Graph) -> Iterator[list[int]]:
             path.pop()
 
 
-def enumerate_eulerian_circuits(g: Graph, cap: Optional[int] = None) -> EnumerationResult:
+def enumerate_eulerian_circuits(g: Graph, cap: int | None = None) -> EnumerationResult:
     """Collect every Eulerian circuit, one per rotation class.
 
     With ``cap`` the search stops after ``cap`` circuits and the overflow
@@ -465,12 +457,13 @@ def _takes(g: Graph, e: int, f: int) -> bool:
 
 
 def _possible_successors(g: Graph, e: int) -> list[int]:
-    """The out-edges that some Eulerian circuit takes right after ``e``,
-    in CSR order, the search stopped at the second one found."""
+    """The out-edges that some Eulerian circuit takes right after ``e``, in
+    CSR order: a head's only out-edge untested, else up to the second found."""
     v = g.heads[e]
+    out = g.eid[g.off[v] : g.out_end[v]]
     found = []
-    for f in g.eid[g.off[v] : g.out_end[v]]:
-        if _takes(g, e, f):
+    for f in out:
+        if len(out) == 1 or _takes(g, e, f):
             found.append(f)
             if len(found) == 2:
                 break
@@ -502,12 +495,11 @@ def brute_force_safe_walks(g: Graph) -> SafeWalkReport:
     return SafeWalkReport(walks=tuple(walks), unique_circuit=False)
 
 
-class ComponentSplit(NamedTuple):
-    """Connected components of the graph with one node removed."""
+class ComponentSplit(namedtuple("ComponentSplit", "removed component count")):
+    """Connected components of the graph with one node removed:
+    ``component`` maps each remaining node label to its component id."""
 
-    removed: str
-    component: dict[str, int]  # remaining node label -> component id
-    count: int
+    __slots__ = ()
 
 
 def component_split(g: Graph, v: str) -> ComponentSplit:

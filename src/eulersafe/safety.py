@@ -16,30 +16,25 @@ two sides of a cut node, off the block labels of the analysis pass.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import compress, count
 from operator import not_, sub
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .graph import ContractError, Graph, _cut_nodes, require_eulerian
 
-if TYPE_CHECKING:
-    from .oracles import NormalizationMap
 
-
-class NodeClass(NamedTuple):
+class NodeClass(namedtuple("NodeClass", "label degree is_cut in_a")):
     """Per-node degree and cut status; ``in_a`` marks forcing nodes.
 
     A degree-2 node that carries a self-loop is forcing without being a
     cut node.
     """
 
-    label: str
-    degree: int
-    is_cut: bool
-    in_a: bool
+    __slots__ = ()
 
 
-class SafeWalkReport(NamedTuple):
+class SafeWalkReport(namedtuple("SafeWalkReport", "walks unique_circuit")):
     """Maximal safe walks as edge-id sequences.
 
     Walks are pairwise edge-disjoint and cover every edge, so their lengths
@@ -47,11 +42,12 @@ class SafeWalkReport(NamedTuple):
     circuit (anchored at edge id 0).
     """
 
-    walks: tuple[tuple[int, ...], ...]
-    unique_circuit: bool
+    __slots__ = ()
 
 
-class SafetyEvidence(NamedTuple):
+class SafetyEvidence(
+    namedtuple("SafetyEvidence", "safe reason component_u component_w", defaults=(None, None))
+):
     """Verdict for one consecutive edge pair, with the reason it holds.
 
     Reason codes: ``degree-one``, ``cut-split``, ``degree-too-high``,
@@ -67,10 +63,7 @@ class SafetyEvidence(NamedTuple):
     that holds the head of its lowest-id out-edge; side 1 is the other two.
     """
 
-    safe: bool
-    reason: str
-    component_u: Optional[int] = None
-    component_w: Optional[int] = None
+    __slots__ = ()
 
 
 def _forcing(g: Graph) -> tuple[array, array, bytearray]:
@@ -95,7 +88,7 @@ def classify_nodes(g: Graph) -> dict[str, NodeClass]:
     }
 
 
-def _sides(g: Graph, block: array, v: int) -> Optional[tuple[int, int]]:
+def _sides(g: Graph, block: array, v: int) -> tuple[int, int] | None:
     """Side 1 of the degree-2 node ``v`` as its ``(out-edge, in-edge)``, or
     None when ``v`` does not force; the other two edges at ``v`` are side 0.
 
@@ -224,9 +217,7 @@ def _walk(succ: array, first: int) -> array:
     )
 
 
-def maximal_safe_walks(
-    g: Graph, norm_map: Optional[NormalizationMap] = None
-) -> SafeWalkReport:
+def maximal_safe_walks(g: Graph, norm_map: NormalizationMap | None = None) -> SafeWalkReport:
     """Compute all maximal safe walks in O(|E|), with no circuit built.
 
     A walk is a maximal chain of forced successors. One starts at every

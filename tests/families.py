@@ -297,13 +297,7 @@ def _out_edges(g: Graph) -> list:
 
 
 def _possible(g: Graph) -> list[list[int]]:
-    # A head of degree 1 has one out-edge, which every circuit takes;
-    # elsewhere the splice test decides.
-    out_edges = _out_edges(g)
-    return [
-        _possible_successors(g, e) if len(out_edges[h]) > 1 else list(out_edges[h])
-        for e, h in enumerate(g.heads)
-    ]
+    return [_possible_successors(g, e) for e in range(g.num_edges)]
 
 
 class Enumerated(NamedTuple):

@@ -1,10 +1,9 @@
 """The benchmark's per-layer trace and pair script find every public name
 they call, so no per-layer metric goes absent when the API is pruned, the
 package exports no oracle that the benchmark does not reach, README names
-every public name and exactly the command-line options, and the
-oracles import from the package only records, errors and the shared
+every public name, every command and exactly the command-line options, and
+the oracles import from the package only records, errors and the shared
 determinant."""
-import argparse
 import ast
 import re
 import sys
@@ -87,15 +86,8 @@ def test_readme_names_every_public_name():
 
 def test_readme_names_every_cli_option():
     readme = (BENCH.parent / "README.md").read_text(encoding="utf-8")
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {
-        option
-        for command in commands.choices.values()
-        for action in command._actions
-        for option in action.option_strings
-        if option.startswith("--") and option != "--help"
-    }
+    assert sorted(c for c in cli._COMMANDS if not re.search(rf"eulersafe {c}\b", readme)) == []
+    options = {f"--{option}" for _, _, row in cli._COMMANDS.values() for option in row}
     assert options
     missing = sorted(o for o in options if not re.search(rf"{o}\b", readme))
     assert missing == []

@@ -1,5 +1,4 @@
 """End-to-end command-line behavior, including exit codes."""
-import argparse
 import contextlib
 import json
 import os
@@ -11,6 +10,7 @@ import threading
 from collections import Counter
 from math import factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,7 +217,7 @@ class TestSafeMatchesReference:
     @staticmethod
     def stdout_of(g, fmt, monkeypatch, capsys) -> str:
         monkeypatch.setattr(cli, "_load_graph", lambda path: g)
-        assert cli.cmd_safe(argparse.Namespace(path="-", format=fmt)) == 0
+        assert cli.cmd_safe(SimpleNamespace(path="-", format=fmt)) == 0
         return capsys.readouterr().out
 
     @pytest.mark.parametrize("bidirected", [False, True], ids=["ring", "bidirected-ring"])
@@ -1110,16 +1110,32 @@ class TestGen:
         )
 
 
+TOP_USAGE = "usage: eulersafe [-h] {check,unique,safe,count,oracle-compare,gen} ...\n"
+SAFE_USAGE = "usage: eulersafe safe [-h] [--format {text,structured}] path\n"
+GEN_USAGE = "usage: eulersafe gen [-h] [--seed SEED] nodes cycles\n"
+
+
 class TestParser:
-    def test_missing_subcommand(self):
+    """The command table parses as argparse did: each usage error is
+    argparse's stderr for it under Python 3.11, byte for byte, with exit 2
+    and nothing on stdout."""
+
+    def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 2
+        err = "eulersafe: error: the following arguments are required: command\n"
+        assert capsys.readouterr() == ("", TOP_USAGE + err)
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 2
+        err = (
+            "eulersafe: error: argument command: invalid choice: 'frobnicate' "
+            "(choose from 'check', 'unique', 'safe', 'count', 'oracle-compare', 'gen')\n"
+        )
+        assert capsys.readouterr() == ("", TOP_USAGE + err)
 
     @pytest.mark.parametrize(
         "args", [["count", "G", "--method", "enumerate"], ["gen", "4", "2", "-o", "G"]],
@@ -1131,7 +1147,62 @@ class TestParser:
         argv = [str(path) if arg == "G" else arg for arg in args]
         result = run_cli(*argv)
         assert (result.returncode, result.stdout) == (2, "")
-        usage, error = result.stderr.splitlines()
-        assert usage.startswith("usage: eulersafe ")
-        assert error == f"eulersafe: error: unrecognized arguments: {argv[-2]} {argv[-1]}"
+        error = f"eulersafe: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"
+        assert result.stderr == TOP_USAGE + error
         assert path.read_text() == BIDIRECTED
+
+    @pytest.mark.parametrize(
+        "args, usage, error",
+        [
+            (["safe"], SAFE_USAGE, "the following arguments are required: path"),
+            (["safe", "G", "extra"], TOP_USAGE, "unrecognized arguments: extra"),
+            (["safe", "G", "--format", "xml"], SAFE_USAGE,
+             "argument --format: invalid choice: 'xml' (choose from 'text', 'structured')"),
+            (["gen", "x", "2"], GEN_USAGE, "argument nodes: invalid int value: 'x'"),
+            (["gen", "4", "2", "--seed", "y"], GEN_USAGE, "argument --seed: invalid int value: 'y'"),
+            # argparse took a prefix of an option name; the table does not.
+            (["safe", "G", "--form", "structured"], TOP_USAGE, "unrecognized arguments: --form structured"),
+        ],
+        ids=["no-path", "extra-positional", "bad-choice", "bad-int", "bad-int-option", "abbreviation"],
+    )
+    def test_usage_error(self, graph_file, capsys, args, usage, error):
+        path = graph_file(FIGURE_EIGHT)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([path if a == "G" else a for a in args])
+        assert exc.value.code == 2
+        prog = "eulersafe" if usage == TOP_USAGE else f"eulersafe {args[0]}"
+        assert capsys.readouterr() == ("", f"{usage}{prog}: error: {error}\n")
+
+    def test_option_forms_and_places(self, graph_file, capsys):
+        path = graph_file(FIGURE_EIGHT)
+        outputs = set()
+        for args in (
+            ["safe", path, "--format", "structured"],
+            ["safe", path, "--format=structured"],
+            ["safe", "--format", "structured", path],
+            ["safe", "--format=structured", "--", path],
+        ):
+            assert cli.main(args) == 0
+            outputs.add(capsys.readouterr())
+        (out, err), = outputs
+        assert out.startswith('{"edges":6,') and err == ""
+
+    def test_lone_dash_and_negative_number_are_positionals(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "-").write_text(TRIANGLE)
+        assert cli.main(["check", "-"]) == 0
+        assert cli.main(["gen", "4", "2", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out.startswith("eulerian\nv")
+
+    @pytest.mark.parametrize("args", [["-h"], ["--help"], ["safe", "-h"], ["gen", "4", "--help"]])
+    def test_help_exits_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if len(args) == 1:
+            assert out.startswith(TOP_USAGE)
+            assert [line.split()[0] for line in out.splitlines()[4:]] == list(cli._COMMANDS)
+        else:
+            assert out.startswith(f"usage: eulersafe {args[0]} [-h]")

@@ -1,11 +1,11 @@
 """Parsing, the multigraph model, normalization, and the analysis pass."""
-import argparse
 import contextlib
 import io
 import random
 import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -500,7 +500,7 @@ def cli_safe(fmt):
     def run(g):
         with mock.patch.object(cli, "_load_graph", lambda path: g):
             with contextlib.redirect_stdout(io.StringIO()) as out:
-                assert cli.cmd_safe(argparse.Namespace(path="-", format=fmt)) == 0
+                assert cli.cmd_safe(SimpleNamespace(path="-", format=fmt)) == 0
         assert out.getvalue().startswith(f"edges: {g.num_edges}\n" if fmt == "text" else "{")
 
     return run

@@ -61,17 +61,19 @@ def test_command_loads_only_what_it_runs(command, tmp_path):
     args = COMMANDS[command] if command == "gen" else [*COMMANDS[command], str(path)]
     loaded = loaded_modules(args)
     assert {"eulersafe.cli", "eulersafe.graph"} <= loaded
-    assert sorted({"dataclasses", "inspect"} & loaded) == []
+    assert sorted({"argparse", "dataclasses", "gettext", "inspect", "locale", "typing"} & loaded) == []
     assert ("eulersafe.oracles" in loaded) == (command == "oracle-compare")
     assert ("eulersafe.generator" in loaded) == (command == "gen")
     if command in ("check", "gen"):
         assert sorted({"eulersafe.safety", "eulersafe.circuit"} & loaded) == []
-    assert ("json" in loaded) == (command == "safe-structured")
+    # json's decoder imports re.
+    assert ("json" in loaded) == ("re" in loaded) == (command == "safe-structured")
 
 
 def test_pair_script_imports_load_no_dataclasses():
     # The benchmark's pair script imports the oracles module for normalize;
-    # its records are NamedTuples, so neither dataclasses nor inspect loads.
+    # its records are collections.namedtuple subclasses, so neither
+    # dataclasses, inspect nor typing loads.
     tree = ast.parse((BENCH / "pairs.py").read_text(encoding="utf-8"))
     imports = [
         ast.unparse(node)
@@ -82,7 +84,7 @@ def test_pair_script_imports_load_no_dataclasses():
     probe = imports[0] + '\nimport sys\nsys.stderr.write("\\n".join(sys.modules))\n'
     loaded = loaded_modules([], probe)
     assert "eulersafe.oracles" in loaded
-    assert sorted({"dataclasses", "inspect"} & loaded) == []
+    assert sorted({"dataclasses", "inspect", "typing"} & loaded) == []
 
 
 def test_star_import_binds_every_public_name():
