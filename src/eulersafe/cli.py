@@ -288,7 +288,7 @@ def _value(usage: str, name: str, kind, text: str):
 
 def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
     """The command ``argv`` names and its arguments, by its ``_COMMANDS`` row
-    and argparse's rules; a lone "-" and a negative number are positionals."""
+    and argparse's rules: "-" and a negative number (-1, -.5) are positionals."""
     if argv[:1] in (["-h"], ["--help"]):
         rows = "".join(f"  {name:<16}{row[0]}\n" for name, row in _COMMANDS.items())
         print(f"usage: {_USAGE}\n\nEulerian circuit uniqueness and maximal safe walks\n\n{rows}", end="")
@@ -303,12 +303,12 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace]:
         for k, v in options.items()
     ) + "".join(f" {key}" for key in wanted)
     args = SimpleNamespace(**{k: v[0] if isinstance(v, tuple) else v() for k, v in options.items()})
-    extra = []
-    ended = False
+    extra, ended = [], False
     tokens = iter(argv[1:])
     for token in tokens:
         key, eq, text = token[2:].partition("=")
-        if ended or token[:1] != "-" or token == "-" or token[1:].isdigit():
+        number = token[1:].replace(".", "", 1).isdecimal() and token[-1] != "."
+        if ended or token[:1] != "-" or token == "-" or number:
             if wanted:
                 dest = wanted.pop(0)
                 setattr(args, dest, _value(usage, dest, positionals[dest], token))

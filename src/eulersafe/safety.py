@@ -217,7 +217,7 @@ def _walk(succ: array, first: int) -> array:
     )
 
 
-def maximal_safe_walks(g: Graph, norm_map: NormalizationMap | None = None) -> SafeWalkReport:
+def maximal_safe_walks(g: Graph, norm_map=None) -> SafeWalkReport:
     """Compute all maximal safe walks in O(|E|), with no circuit built.
 
     A walk is a maximal chain of forced successors. One starts at every

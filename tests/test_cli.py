@@ -1159,11 +1159,14 @@ class TestParser:
             (["safe", "G", "--format", "xml"], SAFE_USAGE,
              "argument --format: invalid choice: 'xml' (choose from 'text', 'structured')"),
             (["gen", "x", "2"], GEN_USAGE, "argument nodes: invalid int value: 'x'"),
+            # argparse read -1.5 as a negative number, a positional, not an option.
+            (["gen", "-1.5", "2"], GEN_USAGE, "argument nodes: invalid int value: '-1.5'"),
             (["gen", "4", "2", "--seed", "y"], GEN_USAGE, "argument --seed: invalid int value: 'y'"),
             # argparse took a prefix of an option name; the table does not.
             (["safe", "G", "--form", "structured"], TOP_USAGE, "unrecognized arguments: --form structured"),
         ],
-        ids=["no-path", "extra-positional", "bad-choice", "bad-int", "bad-int-option", "abbreviation"],
+        ids=["no-path", "extra-positional", "bad-choice", "bad-int", "negative-float", "bad-int-option",
+             "abbreviation"],
     )
     def test_usage_error(self, graph_file, capsys, args, usage, error):
         path = graph_file(FIGURE_EIGHT)
