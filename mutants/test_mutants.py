@@ -10,8 +10,17 @@ tests then run in a child process under a time limit and an address-space
 limit set in that child only. A mutant is killed only when pytest exits 1
 and every named test fails; a collection error or a timeout is not a kill.
 
-A mutant that no test can tell from the original would be recorded here
-as equivalent, with the reason; there is none.
+A mutant that no test can tell from the original is recorded here as
+equivalent, with the reason, and has no row:
+
+- ``generator._draw`` with ``untouched = num_nodes - 1``, as if the first
+  set's first node were counted twice. The union-find is then skipped
+  while one node is still on no cycle, but every later cycle has at least
+  2 nodes, so it always meets the one set: the draw is accepted or retried
+  as before, and its edges and RNG calls do not change. Counting every
+  set's first node twice is not equivalent: with two sets opened, two
+  nodes can be left out, and a later cycle on just those two is a second
+  component (the row "generator: each set's first node counted twice").
 """
 from __future__ import annotations
 
@@ -44,6 +53,8 @@ CHAINS = "tests/test_cutnodes.py::TestChains::test_cut_nodes_and_blocks_match_th
 SAFETY = "tests/test_safety.py::"
 CONSERVATION = "tests/test_acceptance.py::test_conservation"
 STARTUP = "tests/test_startup.py::test_command_loads_only_what_it_runs"
+ESCAPED = "tests/test_cli.py::TestSafeMatchesReference::test_escaped_labels"
+DRAW = "tests/test_generator.py::"
 
 MUTANTS = [
     # The block-label rule: v is a cut node iff a neighbour's label is
@@ -163,6 +174,51 @@ MUTANTS = [
         "map(in_a.__getitem__, g.tails)",
         "map(in_a.__getitem__, g.heads)",
         (HARNESS + "[generator]", CONSERVATION),
+    ),
+    # The safe writers: labels escaped as json.dumps does, and each
+    # multi-edge walk's first label read from its first edge's tail.
+    Mutant(
+        "writers: non-ASCII labels left unescaped",
+        "src/eulersafe/cli.py",
+        "from json.encoder import encode_basestring_ascii",
+        "from json.encoder import encode_basestring as encode_basestring_ascii",
+        (ESCAPED + "[ring-structured]", ESCAPED + "[bidirected-ring-structured]"),
+    ),
+    Mutant(
+        "writers: text walk starts at the first edge's head",
+        "src/eulersafe/cli.py",
+        "labels[tails[walk[0]]]",
+        "labels[heads[walk[0]]]",
+        (ESCAPED + "[ring-text]",),
+    ),
+    Mutant(
+        "writers: structured walk starts at the first edge's head",
+        "src/eulersafe/cli.py",
+        "names[tails[walk[0]]]",
+        "names[heads[walk[0]]]",
+        (ESCAPED + "[ring-structured]",),
+    ),
+    # The generator's draw and its early stop of the union-find.
+    Mutant(
+        "generator: union-find stopped with nodes left",
+        "src/eulersafe/generator.py",
+        "if sets == 1 and not untouched:",
+        "if sets == 1:",
+        (DRAW + "test_shared_rng_sweep_matches_the_reference", DRAW + "test_later_disjoint_cycle_is_retried", HARNESS + "[generator]"),
+    ),
+    Mutant(
+        "generator: disconnected draws accepted",
+        "src/eulersafe/generator.py",
+        "if sets == 1:\n            return tails, heads",
+        "if sets >= 1:\n            return tails, heads",
+        (DRAW + "test_shared_rng_sweep_matches_the_reference", DRAW + "test_later_disjoint_cycle_is_retried", HARNESS + "[generator]"),
+    ),
+    Mutant(
+        "generator: each set's first node counted twice",
+        "src/eulersafe/generator.py",
+        "                sets += 1\n                untouched -= 1\n",
+        "                sets += 1\n                untouched -= 2\n",
+        (DRAW + "test_later_disjoint_cycle_is_retried",),
     ),
     # Start-up: each command imports only the code it runs.
     Mutant(

@@ -55,21 +55,28 @@ def _draw(num_nodes: int, num_cycles: int, seed: int | random.Random | None) -> 
         heads = array("i")
         # A union-find over node ids, -1 for a node on no cycle yet; each
         # cycle joins its nodes, and the draw is weakly connected iff its
-        # nodes end in one set.
+        # nodes end in one set. `untouched` counts the nodes still at -1:
+        # once it is 0 and one set holds every node, no later cycle can add
+        # a node or split the set, so later cycles skip the union-find.
         parent = array("i", [-1]) * num_nodes
         sets = 0
+        untouched = num_nodes
         for _ in range(num_cycles):
             k = rng.randint(2, num_nodes)
             nodes = rng.sample(range(num_nodes), k)
             tails.extend(nodes)
             heads.extend(nodes[1:] + nodes[:1])
+            if sets == 1 and not untouched:
+                continue
             if parent[nodes[0]] < 0:
                 parent[nodes[0]] = nodes[0]
                 sets += 1
+                untouched -= 1
             root = _find(parent, nodes[0])
             for v in nodes:
                 if parent[v] < 0:
                     parent[v] = root
+                    untouched -= 1
                 else:
                     r = _find(parent, v)
                     if r != root:
