@@ -1,15 +1,17 @@
 """Named graph families, the differential harness over them, and the
 shapes the test modules share.
 
-Each family is seeded and built once per session (``functools.cache``), so
-every test that sweeps it sees the same graphs. Only this module and
+Each family's builder is seeded and cached (``functools.cache``), so the
+modules that reuse a family's graphs, such as ``test_cli.py`` and
+``test_genome.py``, see the ones the harness checked. The harness itself
+keeps nothing between tests: ``checked(family)`` builds the family's
+oracles, runs every column and lets them go. Only this module and
 ``conftest.py`` are imported by the test modules.
 """
 from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -265,9 +267,9 @@ def generator_sample() -> tuple[Graph, ...]:
 
 
 # The differential harness. A column compares one fast answer with the
-# oracles on every graph of a family; each oracle runs once per graph and
-# is kept for the session, so the columns, and the tests that ask for
-# them, share it.
+# oracles on every graph of a family and returns how much it compared.
+# checked(family) builds the family's oracles once, runs every column on
+# them, and then holds each column to the family's floor.
 #
 # FAMILIES fixes which oracles run where: Pevzner's cycle-intersection
 # tree and the component split at each node of degree 2 or more run on
@@ -286,10 +288,23 @@ FAMILIES = {
     "genomes": (lambda: tuple(genome(*row).graph for row in GENOMES), False),
 }
 
-
-@cache
-def graphs(family: str) -> tuple[Graph, ...]:
-    return FAMILIES[family][0]()
+# The least each column must compare on each family, so that a column that
+# skips its graphs fails. The uniqueness, count and blocks columns count
+# graphs: on a small family each runs on every graph. The pairs column
+# counts the pairs at a node of degree 3 or more, where neither forcing
+# rule applies; the walks column counts walks, and the sides column
+# degree-2 cut nodes.
+FLOORS = {
+    "corpus-5": {
+        "uniqueness": 7_125, "count": 7_125, "pairs": 93_000, "walks": 63_000, "sides": 1_200, "blocks": 7_125,
+    },
+    "simple-sample": {"uniqueness": 500, "count": 500, "pairs": 1_700, "walks": 1_900, "sides": 45, "blocks": 500},
+    "raw-multigraphs": {
+        "uniqueness": 1_005, "count": 1_005, "pairs": 16_000, "walks": 5_500, "sides": 140, "blocks": 1_005,
+    },
+    "generator": {"uniqueness": 1_000, "walks": 9_000, "sides": 60},
+    "genomes": {"uniqueness": 8, "walks": 100, "sides": 35},
+}
 
 
 def _out_edges(g: Graph) -> list:
@@ -320,54 +335,58 @@ class Oracles(NamedTuple):
     enumerated: Enumerated
 
 
-@cache
-def _oracles(family: str) -> list:
+def _oracles(graphs: tuple[Graph, ...], small: bool) -> list:
     """The splice test, the state count and the enumeration for each
     graph of a small family; None for each graph of any other."""
-    small = FAMILIES[family][1]
-    return [Oracles(_possible(g), count_by_states(g), _enumerated(g)) if small else None for g in graphs(family)]
+    return [Oracles(_possible(g), count_by_states(g), _enumerated(g)) if small else None for g in graphs]
 
 
-@cache
-def _splits(family: str) -> list[dict]:
+def _splits(graphs: tuple[Graph, ...], small: bool) -> list[dict]:
     """component_split at every node of a small family, else at the nodes
     of degree 2 or more."""
-    small = FAMILIES[family][1]
     return [
         {v: component_split(g, x) for v, x in enumerate(g.labels) if small or g.out_end[v] - g.off[v] > 1}
-        for g in graphs(family)
+        for g in graphs
     ]
 
 
-def _uniqueness(family: str, tally: Counter) -> None:
+def _uniqueness(cases: list) -> int:
     # has_unique_eulerian_circuit against the Pevzner tree, the enumerated
-    # circuits and the state count.
-    for g, oracles in zip(graphs(family), _oracles(family)):
+    # circuits and the state count, which the count column ties to the
+    # BEST count.
+    for g, oracles, _ in cases:
         edges = list(g.edge_pairs())
         unique = has_unique_eulerian_circuit(g)
         assert pevzner_intersection_graph(g).is_tree == unique, edges
         if oracles:
             assert (oracles.enumerated.count == 1) == unique == (oracles.states == 1), edges
-        tally["graphs"] += 1
+    return len(cases)
 
 
-def _count(family: str, tally: Counter) -> None:
+def _count(cases: list) -> int:
     # count_circuits against count_best and count_by_states, and the
     # listed circuits against the state count.
-    for g, oracles in zip(graphs(family), _oracles(family)):
+    graphs = 0
+    for g, oracles, _ in cases:
         if oracles is None:
             continue
         edges = list(g.edge_pairs())
         _, states, enumerated = oracles
         assert count_circuits(g) == count_best(g).epsilon == states, edges
         assert enumerated.every is None or enumerated.count == states, edges
-        tally["graphs"] += 1
+        graphs += 1
+    return graphs
 
 
-def _pairs(family: str, tally: Counter) -> None:
+def _pairs(cases: list) -> int:
     # (e, f) is safe iff f is the only successor of e that some circuit
-    # takes, so iff every circuit takes it; then f is e's forced successor.
-    for g, oracles in zip(graphs(family), _oracles(family)):
+    # takes, which the splice test decides by splicing the pair into one
+    # edge; so iff every circuit takes it, and then f is e's forced
+    # successor, the one the walks follow. Every consecutive pair is
+    # checked, a self-loop with itself and the pairs at a node of degree 3
+    # or more included.
+    high = 0
+    for g, oracles, _ in cases:
         if oracles is None:
             continue
         edges = list(g.edge_pairs())
@@ -382,13 +401,16 @@ def _pairs(family: str, tally: Counter) -> None:
                 safe = possible[e] == [f]
                 assert checker.check(e, f).safe == safe, (edges, e, f)
                 assert every is None or ((e, f) in every) == safe, (edges, e, f)
-            tally["pairs"] += len(out_edges[h])
-            tally["pairs at degree >= 3"] += len(out_edges[h]) if len(out_edges[h]) >= 3 else 0
+            high += len(out_edges[h]) if len(out_edges[h]) >= 3 else 0
+    return high
 
 
-def _walks(family: str, tally: Counter) -> None:
-    # The walks partition the edges into maximal chains of safe pairs.
-    for g, oracles in zip(graphs(family), _oracles(family)):
+def _walks(cases: list) -> int:
+    # The walks partition the edges into maximal chains of safe pairs:
+    # every consecutive pair inside a walk is safe, and when the circuit
+    # is not unique, no pair that leaves a walk's last edge is.
+    walks = 0
+    for g, oracles, _ in cases:
         edges = list(g.edge_pairs())
         unique = has_unique_eulerian_circuit(g)
         report = maximal_safe_walks(g)
@@ -401,13 +423,15 @@ def _walks(family: str, tally: Counter) -> None:
                 assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)
                 assert possible[w[-1]] == [w[0]] if unique else len(possible[w[-1]]) == 2, (edges, w)
         assert not oracles or report == brute_force_safe_walks(g), edges
-        tally["walks"] += len(report.walks)
+        walks += len(report.walks)
+    return walks
 
 
-def _sides(family: str, tally: Counter) -> None:
+def _sides(cases: list) -> int:
     # Cut nodes, forcing flags and sides. A node of degree 1 is never a
     # cut node: without the other, each side would be unbalanced.
-    for g, splits in zip(graphs(family), _splits(family)):
+    cut_nodes = 0
+    for g, _, splits in cases:
         edges, labels, heads, tails = list(g.edge_pairs()), g.labels, g.heads, g.tails
         out_edges = _out_edges(g)
         in_edges = [g.eid[s:t] for s, t in zip(g.out_end, g.off[1:])]
@@ -423,10 +447,11 @@ def _sides(family: str, tally: Counter) -> None:
             assert classes[label][1:] == (d, is_cut, forcing) and (label in cuts) == is_cut, (edges, label)
             if d != 2 or loop or not is_cut:
                 continue
-            # Two components, each with one out- and one in-neighbour of v.
-            # Side 0 holds node 0, or, when v is node 0, the head of its
-            # lowest-id out-edge: a numbering that does not depend on the
-            # analysis DFS.
+            # Removing v leaves exactly two components, each with one out-
+            # and one in-neighbour of v. Side 0 is the pair whose other ends
+            # lie in the component that holds node 0, or, when v is node 0,
+            # the one that holds the head of its lowest-id out-edge: a
+            # numbering that does not depend on the analysis DFS.
             comp = split.component
             home = comp[labels[heads[min(out_edges[v])] if v == 0 else 0]]
             side = {e: int(comp[labels[heads[e]]] != home) for e in out_edges[v]}
@@ -439,19 +464,23 @@ def _sides(family: str, tally: Counter) -> None:
             for e1 in in_edges[v]:
                 for e2 in out_edges[v]:
                     assert checker.check(e1, e2)[2:] == (side[e1], side[e2]), (edges, e1, e2)
-            tally["degree-2 cut nodes"] += 1
+            cut_nodes += 1
+    return cut_nodes
 
 
-def _blocks(family: str, tally: Counter) -> None:
-    # edge_blocks against the labels straight from the definition.
-    if not FAMILIES[family][1]:
-        return
-    for g, splits in zip(graphs(family), _splits(family)):
+def _blocks(cases: list) -> int:
+    # edge_blocks against the labels straight from the definition, on a
+    # small family, which has the split at every node.
+    graphs = 0
+    for g, oracles, splits in cases:
+        if oracles is None:
+            continue
         block_ids, count = edge_blocks(g)
         components = [splits[v].component for v in range(g.num_nodes)]
         assert renumbered(block_ids) == brute_force_blocks(g, components), list(g.edge_pairs())
         assert count == max(block_ids) + 1, list(g.edge_pairs())
-        tally["graphs"] += 1
+        graphs += 1
+    return graphs
 
 
 COLUMNS = {
@@ -464,11 +493,13 @@ COLUMNS = {
 }
 
 
-@cache
-def checked(family: str, column: str) -> Counter:
-    """Compare one column's fast answer with its oracles on every graph of
-    a family, failing at the first mismatch; return what was compared, by
-    kind. A column passes once per session."""
-    tally: Counter = Counter()
-    COLUMNS[column](family, tally)
-    return tally
+def checked(family: str) -> None:
+    """Compare every column's fast answer with its oracles on every graph
+    of a family, failing at the first mismatch, then hold each column to
+    the family's floor."""
+    build, small = FAMILIES[family]
+    graphs = build()
+    cases = list(zip(graphs, _oracles(graphs, small), _splits(graphs, small)))
+    compared = {column: run(cases) for column, run in COLUMNS.items()}
+    for column, floor in FLOORS[family].items():
+        assert compared[column] >= floor, (family, column, compared[column])

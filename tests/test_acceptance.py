@@ -1,6 +1,6 @@
-"""Acceptance gate: every fast answer against the independent oracles, over
-named graph families (the harness and its table are in families.py), and
-linear-time scaling.
+"""Acceptance gate: every fast answer against the independent oracles, one
+run of the differential harness per named graph family (the harness, its
+families and their floors are in families.py), and linear-time scaling.
 
 The fast answers: a node forces iff it has degree 1, or degree 2 and is a
 cut node or carries a self-loop; the circuit is unique iff every node
@@ -11,52 +11,12 @@ import time
 import pytest
 
 from eulersafe import Graph, maximal_safe_walks, random_eulerian_edges
-from eulersafe.oracles import count_best
-from families import COLUMNS, FAMILIES, checked
+from families import FAMILIES, checked
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_fast_answers_match_the_oracles(family):
-    for column in COLUMNS:
-        checked(family, column)
-
-
-def test_uniqueness_equivalence_exhaustive():
-    """has_unique <=> exactly one enumerated circuit <=> state count 1 <=>
-    BEST count 1."""
-    for family in ("corpus-5", "simple-sample"):
-        # The count column, BEST against the state count, ran on every graph.
-        assert checked(family, "uniqueness")["graphs"] == checked(family, "count")["graphs"]
-
-
-def test_circuit_count_matches_enumeration():
-    """Exact circuit counts: determinant formula vs. the exhaustive state
-    count, and two formula spot checks worked out by hand."""
-    for family in ("corpus-5", "simple-sample"):
-        checked(family, "count")
-    bidirected = Graph([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "c"), ("c", "a")])
-    assert count_best(bidirected).epsilon == 3
-    three = Graph([(x, y) for p in "abc" for x, y in (("v", p + "1"), (p + "1", p + "2"), (p + "2", "v"))])
-    assert count_best(three).epsilon == 2
-
-
-def test_safe_walks_match_brute_force():
-    """Linear-time maximal safe walks equal the definitional brute force."""
-    for family in ("corpus-5", "simple-sample"):
-        checked(family, "walks")
-
-
-def test_conservation():
-    """Walks always partition the edge set: simple graphs, generator output
-    as drawn, and multigraphs."""
-    for family in ("corpus-5", "generator", "raw-multigraphs"):
-        checked(family, "walks")
-
-
-def test_cut_split_property():
-    """Removing a degree-2 cut node leaves exactly 2 components, each seeing
-    one of its in-neighbors and one of its out-neighbors."""
-    assert checked("corpus-5", "sides")["degree-2 cut nodes"] > 0
+    checked(family)
 
 
 def _pipeline_seconds(g: Graph) -> float:

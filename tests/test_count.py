@@ -1,26 +1,20 @@
 """Exact circuit counting over biconnected blocks, and the block labelling
-it is built on, checked against the dense BEST oracle and the state count."""
+it is built on, on named shapes and at their bounds. The harness's count
+and blocks columns (families.py) check both against the dense BEST oracle,
+the state count and the block definition on every small family."""
 from array import array
 from math import factorial
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from eulersafe import (
-    ContractError,
-    Graph,
-    count_best,
-    count_circuits,
-    is_eulerian,
-    normalize,
-    underlying_undirected,
-)
+from eulersafe import ContractError, Graph, count_circuits, is_eulerian
 from eulersafe.circuit import MAX_BLOCK_NODES, edge_blocks
 from eulersafe.oracles import count_by_states
-from families import as_graph, brute_force_blocks, checked, renumbered
+from families import as_graph, brute_force_blocks, renumbered
 
 
-def closed_walks(max_nodes: int = 5, max_len: int = 5, max_walks: int = 4):
+def closed_walks(max_nodes: int, max_len: int, max_walks: int):
     """Raw multigraphs as unions of closed walks: self-loops (walks of
     length 1), parallel and antiparallel edges all occur."""
     walk = st.integers(1, max_len).flatmap(
@@ -29,22 +23,6 @@ def closed_walks(max_nodes: int = 5, max_len: int = 5, max_walks: int = 4):
     return st.lists(walk, min_size=1, max_size=max_walks).map(
         lambda walks: [(w[i], w[(i + 1) % len(w)]) for w in walks for i in range(len(w))]
     )
-
-
-@settings(max_examples=400, deadline=None)
-@given(closed_walks())
-@example([(0, 0)] * 4)
-@example([(0, 1), (1, 0)] * 3)
-@example([(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
-def test_counter_matches_oracles_on_raw_multigraphs(edges):
-    g = as_graph(edges)
-    assume(is_eulerian(g))
-    count = count_circuits(g)
-    assert count == count_best(normalize(g)[0]).epsilon == count_by_states(g)
-
-
-def test_counter_matches_oracle_on_corpus():
-    checked("corpus-5", "count")
 
 
 @pytest.mark.parametrize("d", range(1, 8))
@@ -63,6 +41,8 @@ def test_series_reduction_of_a_theta_graph():
     # t = 3 arborescences, times 2! at each of a and b.
     assert count_circuits(g) == 3 * 2 * 2
     assert count_by_states(g) == 12
+    # The reduced graph itself: three parallel arcs each way, nothing to reduce.
+    assert count_circuits(Graph([("a", "b"), ("b", "a")] * 3)) == 12
 
 
 def test_not_eulerian_is_refused():
@@ -149,33 +129,30 @@ def test_long_cycles_need_no_determinant():
 
 class TestEdgeBlocks:
     def test_figure_eight(self, figure_eight):
-        block, count = edge_blocks(underlying_undirected(figure_eight))
+        block, count = edge_blocks(figure_eight)
         assert count == 2
         assert renumbered(block) == [0, 0, 0, 1, 1, 1]
 
     def test_loops_belong_to_no_block(self):
         g = Graph([("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")])
-        block, count = edge_blocks(underlying_undirected(g))
+        block, count = edge_blocks(g)
         assert count == 1
         assert block == array("i", [-1, 0, 0, -1])
 
     def test_single_node(self):
         g = Graph([("a", "a"), ("a", "a")])
-        assert edge_blocks(underlying_undirected(g)) == (array("i", [-1, -1]), 0)
+        assert edge_blocks(g) == (array("i", [-1, -1]), 0)
 
     def test_disconnected_rejected(self):
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
-            edge_blocks(underlying_undirected(g))
-
-    def test_matches_brute_force_on_corpus(self):
-        checked("corpus-5", "blocks")
+            edge_blocks(g)
 
     @settings(max_examples=200, deadline=None)
     @given(closed_walks(max_nodes=7, max_len=6, max_walks=5))
     def test_matches_brute_force_on_multigraphs(self, edges):
         g = as_graph(edges)
         assume(is_eulerian(g))
-        block, count = edge_blocks(underlying_undirected(g))
+        block, count = edge_blocks(g)
         assert renumbered(block) == brute_force_blocks(g)
         assert count == len({b for b in block if b >= 0})

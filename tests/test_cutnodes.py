@@ -1,4 +1,6 @@
-"""Undirected view, articulation points, and component splits."""
+"""Undirected view, articulation points, and component splits. The
+harness's sides column (families.py) checks the cut nodes against
+component_split on every family."""
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from eulersafe import (
     underlying_undirected,
 )
 from eulersafe.circuit import edge_blocks
-from families import brute_force_blocks, checked, renumbered
+from families import brute_force_blocks, renumbered
 
 
 def brute_force_cut_nodes(u) -> set:
@@ -44,24 +46,24 @@ class TestUnderlyingUndirected:
 
 class TestArticulationPoints:
     def test_triangle_has_none(self, triangle):
-        assert articulation_points(underlying_undirected(triangle)) == set()
+        assert articulation_points(triangle) == set()
 
     def test_figure_eight_center(self, figure_eight):
-        assert articulation_points(underlying_undirected(figure_eight)) == {"v"}
+        assert articulation_points(figure_eight) == {"v"}
 
     def test_three_triangles_center(self, three_triangles):
-        assert articulation_points(underlying_undirected(three_triangles)) == {"v"}
+        assert articulation_points(three_triangles) == {"v"}
 
     def test_antiparallel_pair_is_biconnected(self):
         # The doubled undirected edge must not make 'a' or 'b' a cut node.
         g = Graph([("a", "b"), ("b", "a")])
-        assert articulation_points(underlying_undirected(g)) == set()
+        assert articulation_points(g) == set()
 
     def test_path_of_antiparallel_pairs(self):
         g = Graph(
             [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "c")]
         )
-        assert articulation_points(underlying_undirected(g)) == {"b", "c"}
+        assert articulation_points(g) == {"b", "c"}
 
     def test_root_with_two_children(self):
         # First-inserted node sits between the two halves: the DFS root,
@@ -70,28 +72,18 @@ class TestArticulationPoints:
         g = Graph(
             [("v", "a"), ("a", "b"), ("b", "v"), ("v", "c"), ("c", "d"), ("d", "v")]
         )
-        u = underlying_undirected(g)
-        assert u.labels[0] == "v"
-        assert articulation_points(u) == {"v"}
+        assert g.labels[0] == "v"
+        assert articulation_points(g) == {"v"}
 
     def test_disconnected_rejected(self):
         g = Graph([("a", "b"), ("b", "a"), ("x", "y"), ("y", "x")])
         with pytest.raises(ContractError, match="node 'x' is not reachable"):
-            articulation_points(underlying_undirected(g))
-
-    def test_matches_brute_force_on_corpus(self):
-        # The harness's sides column: cut nodes against component_split.
-        checked("corpus-5", "sides")
-
-    def test_matches_brute_force_on_larger_sample(self):
-        # The multigraphs add self-loops, at node 0 too, and parallel pairs.
-        for family in ("simple-sample", "raw-multigraphs"):
-            checked(family, "sides")
+            articulation_points(g)
 
 
 class TestComponentSplit:
     def test_figure_eight_split_at_center(self, figure_eight):
-        split = component_split(underlying_undirected(figure_eight), "v")
+        split = component_split(figure_eight, "v")
         assert split.count == 2
         assert split.component["a"] == split.component["b"]
         assert split.component["c"] == split.component["d"]
@@ -99,13 +91,13 @@ class TestComponentSplit:
         assert "v" not in split.component
 
     def test_non_cut_node_leaves_one_component(self, triangle):
-        split = component_split(underlying_undirected(triangle), "b")
+        split = component_split(triangle, "b")
         assert split.count == 1
         assert set(split.component) == {"a", "c"}
 
     def test_unknown_node(self, triangle):
         with pytest.raises(ContractError, match="not in the graph"):
-            component_split(underlying_undirected(triangle), "zz")
+            component_split(triangle, "zz")
 
 
 def cycle(*nodes):
