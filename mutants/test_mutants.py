@@ -105,8 +105,8 @@ MUTANTS = [
     Mutant(
         "successors: side ignored, larger in-edge taken as side 1",
         "src/eulersafe/safety.py",
-        "        out1, in1 = _sides(g, block, v)\n",
-        "        out1, in1 = _sides(g, block, v)[0], eid[mid + 1]\n",
+        "                out1, in1 = sides\n",
+        "                out1, in1 = sides[0], eid[mid + 1]\n",
         (HARNESS + "[simple-sample]", HARNESS + "[genomes]", GENOME + "[3-4000-6-400]"),
     ),
     Mutant(
@@ -159,6 +159,21 @@ MUTANTS = [
         "                if off[w + 1] - off[w] not in (2, 4):\n",
         (HARNESS + "[simple-sample]", CHAINS + "[chain entered by an in-edge]", GENOME + "[2-3000-1-3000]"),
     ),
+    # Uniqueness and the walk count, read off the successor table.
+    Mutant(
+        "uniqueness: only edge 0's successor read",
+        "src/eulersafe/safety.py",
+        "return -1 not in _successors(g)[1]",
+        "return _successors(g)[1][0] != -1",
+        (HARNESS + "[simple-sample]", SAFETY + "TestUniqueness::test_examples"),
+    ),
+    Mutant(
+        "walk count: edge 0 left out",
+        "src/eulersafe/safety.py",
+        "number = succ.count(-1)",
+        "number = succ[1:].count(-1)",
+        ("tests/test_cli.py::TestSafe::test_structured_format", "tests/test_cli.py::TestSafeMatchesReference::test_corpus[text]"),
+    ),
     # The walk follower and the partition of the edges into walks.
     Mutant(
         "walks: a unique circuit not closed",
@@ -170,8 +185,8 @@ MUTANTS = [
     Mutant(
         "walks: started at the edges entering a non-forcing node",
         "src/eulersafe/safety.py",
-        "map(in_a.__getitem__, g.tails)",
-        "map(in_a.__getitem__, g.heads)",
+        "map(unforced.__getitem__, g.tails)",
+        "map(unforced.__getitem__, g.heads)",
         (HARNESS + "[generator]",),
     ),
     # The safe writers: labels escaped as json.dumps does, and each

@@ -2,9 +2,11 @@
 
 An edge pair ((u,v),(v,w)) is forced (appears in every Eulerian circuit)
 exactly when it appears in some circuit and v has degree 1, or degree 2 and
-is a cut node of the underlying undirected graph. The set of nodes
-satisfying that degree/cut condition characterizes uniqueness (all nodes in
-the set) and gives the cutting points for maximal safe walks.
+is a cut node of the underlying undirected graph. :func:`_successors`
+decides that condition once per node and records it as one table, the
+forced successor of every edge. Every other answer is read off that table:
+the circuit is unique iff every edge has a forced successor, and the
+maximal safe walks are its chains, one ending at each edge without one.
 
 Multigraphs are analysed as they are. A parallel copy of an edge never
 separates its endpoints, so the cut test needs no change for it. A
@@ -19,7 +21,6 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterable
 from itertools import compress, count
-from operator import not_, sub
 
 from .graph import ContractError, Graph, _cut_nodes, require_eulerian
 
@@ -66,25 +67,15 @@ class SafetyEvidence(
     __slots__ = ()
 
 
-def _forcing(g: Graph) -> tuple[array, array, bytearray]:
-    """The block labels of the analysis pass, then the degree and the
-    forcing flag (1 or 0) of every node id, with no object held per node.
-    Raises :class:`ContractError` if ``g`` is not Eulerian."""
-    block = require_eulerian(g)
-    degrees = array("i", map(sub, g.out_end, g.off))
-    flags = bytearray(
-        d == 1 or (d == 2 and _sides(g, block, v) is not None) for v, d in enumerate(degrees)
-    )
-    return block, degrees, flags
-
-
 def classify_nodes(g: Graph) -> dict[str, NodeClass]:
-    """Degree, cut-node status and forcing membership for every node."""
-    block, degrees, flags = _forcing(g)
+    """Degree, cut-node status and forcing membership for every node: a
+    node forces iff its first in-edge has a forced successor."""
+    block, succ = _successors(g)
     cut = _cut_nodes(g, block)
+    eid = g.eid
     return {
-        label: NodeClass(label=label, degree=degrees[v], is_cut=cut[v] == 1, in_a=flags[v] == 1)
-        for v, label in enumerate(g.labels)
+        label: NodeClass(label=label, degree=mid - start, is_cut=cut[v] == 1, in_a=succ[eid[mid]] >= 0)
+        for v, (label, start, mid) in enumerate(zip(g.labels, g.off, g.out_end))
     }
 
 
@@ -113,27 +104,26 @@ def _sides(g: Graph, block: array, v: int) -> tuple[int, int] | None:
     return None
 
 
-def _forced_successors(g: Graph, block: array, in_a: bytearray) -> array:
-    """``succ[e]``, the out-edge every circuit takes after ``e``, or -1 where
-    the head of ``e`` is not forcing: the only out-edge at degree 1, the
-    out-edge on the other side at degree 2."""
+def _successors(g: Graph) -> tuple[array, array]:
+    """The block labels of the analysis pass, and ``succ[e]``, the out-edge
+    every circuit takes after ``e``, or -1 where the head of ``e`` does not
+    force: the only out-edge at degree 1, the out-edge on the other side at
+    a forcing degree-2 node. Raises :class:`ContractError` if ``g`` is not
+    Eulerian."""
+    block = require_eulerian(g)
     succ = array("i", [-1]) * g.num_edges
-    off = g.off
-    out_end = g.out_end
     eid = g.eid
-    for v, forcing in enumerate(in_a):
-        if not forcing:
-            continue
-        start = off[v]
-        mid = out_end[v]
+    for v, (start, mid) in enumerate(zip(g.off, g.out_end)):
         if mid - start == 1:
             succ[eid[mid]] = eid[start]
-            continue
-        out1, in1 = _sides(g, block, v)
-        # Each side's in-edge goes on to the other side's out-edge.
-        succ[eid[mid] if eid[mid + 1] == in1 else eid[mid + 1]] = out1
-        succ[in1] = eid[start] if eid[start + 1] == out1 else eid[start + 1]
-    return succ
+        elif mid - start == 2:
+            sides = _sides(g, block, v)
+            if sides is not None:
+                out1, in1 = sides
+                # Each side's in-edge goes on to the other side's out-edge.
+                succ[eid[mid] if eid[mid + 1] == in1 else eid[mid + 1]] = out1
+                succ[in1] = eid[start] if eid[start + 1] == out1 else eid[start + 1]
+    return block, succ
 
 
 class SafePairChecker:
@@ -175,8 +165,8 @@ class SafePairChecker:
 
 def has_unique_eulerian_circuit(g: Graph) -> bool:
     """Decide uniqueness of the Eulerian circuit in O(|E|): it is unique iff
-    every node is forcing."""
-    return all(_forcing(g)[2])
+    every edge has a forced successor."""
+    return -1 not in _successors(g)[1]
 
 
 def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
@@ -184,18 +174,18 @@ def _safe_walks(g: Graph) -> tuple[int, bool, array, Iterable[int]]:
     whether the circuit is unique, the forced-successor table and the first
     edge id of each walk, in the order the walks are listed.
 
-    A walk starts at every edge leaving a non-forcing node, in ascending
-    edge id, and ends at the next non-forcing node; :func:`_walk` follows
-    one. A start whose successor is -1 is a one-edge walk. If every node is
-    forcing the one walk is the whole circuit, from edge id 0.
+    Each walk ends at the one edge of it that has no forced successor. It
+    starts at an edge leaving a non-forcing node, in ascending edge id;
+    :func:`_walk` follows it. If every edge has a successor the one walk is
+    the whole circuit, from edge id 0.
     """
-    block, degrees, in_a = _forcing(g)
-    succ = _forced_successors(g, block, in_a)
-    # One walk per start: per out-edge of every non-forcing node.
-    number = sum(compress(degrees, map(not_, in_a)))
+    _, succ = _successors(g)
+    number = succ.count(-1)
     if not number:
         return 1, True, succ, (0,)
-    return number, False, succ, compress(count(), map(not_, map(in_a.__getitem__, g.tails)))
+    # A node forces iff its first in-edge has a successor.
+    unforced = bytes(map((-1).__eq__, map(succ.__getitem__, map(g.eid.__getitem__, g.out_end))))
+    return number, False, succ, compress(count(), map(unforced.__getitem__, g.tails))
 
 
 def _walk(succ: array, first: int) -> array:

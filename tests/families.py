@@ -20,10 +20,9 @@ from eulersafe import (
     has_unique_eulerian_circuit, is_eulerian, maximal_safe_walks, normalize, random_eulerian_edges, safety,
 )
 from eulersafe.circuit import edge_blocks
-from eulersafe.graph import is_valid_walk
+from eulersafe.graph import is_valid_walk, require_eulerian
 from eulersafe.oracles import (
-    _possible_successors, brute_force_safe_walks, count_best, count_by_states, enumerate_eulerian_circuits,
-    pevzner_intersection_graph,
+    _possible_successors, count_best, count_by_states, enumerate_eulerian_circuits, pevzner_intersection_graph,
 )
 
 
@@ -217,12 +216,13 @@ def cactus_edges(num_nodes: int, seed: int) -> list[tuple[str, str]]:
     return edges
 
 
-def cycling_successors(g, a, in_a):
-    """A faulty successor table: 1 -> 2 -> 1, a cycle that edge 0 enters
-    and never leaves."""
+def cycling_successors(g):
+    """The block labels and a faulty successor table: 0 -> 1 -> 3 -> 1, a
+    cycle that edge 0 enters and never leaves. On the figure-eight, edge 0
+    still leaves a non-forcing node, so a walk starts there."""
     succ = array("i", [-1]) * g.num_edges
-    succ[0], succ[1], succ[2] = 1, 2, 1
-    return succ
+    succ[0], succ[1], succ[3] = 1, 3, 1
+    return require_eulerian(g), succ
 
 
 def brute_force_blocks(g: Graph, components=None) -> list[int]:
@@ -274,11 +274,10 @@ def generator_sample() -> tuple[Graph, ...]:
 # FAMILIES fixes which oracles run where: Pevzner's cycle-intersection
 # tree and the component split at each node of degree 2 or more run on
 # every family. A small family also runs the rest: the splice test
-# (_possible_successors), count_by_states, every circuit up to 12 edges,
-# the split at every node for brute_force_blocks, and
-# brute_force_safe_walks. The state count refuses some generator outputs
-# and the genomes are far too large; test_genome.py checks the genomes
-# against their closed form.
+# (_possible_successors), count_by_states, every circuit up to 12 edges
+# and the split at every node for brute_force_blocks. The state count
+# refuses some generator outputs and the genomes are far too large;
+# test_genome.py checks the genomes against their closed form.
 FAMILIES = {
     # name: (build, small)
     "corpus-5": (lambda: corpus(5), True),
@@ -392,8 +391,7 @@ def _pairs(cases: list) -> int:
         edges = list(g.edge_pairs())
         out_edges = _out_edges(g)
         possible, every = oracles.possible, oracles.enumerated.every
-        block, _, in_a = safety._forcing(g)
-        forced = safety._forced_successors(g, block, in_a)
+        _, forced = safety._successors(g)
         checker = SafePairChecker(g)
         for e, h in enumerate(g.heads):
             assert forced[e] == (possible[e][0] if len(possible[e]) == 1 else -1), (edges, e)
@@ -408,7 +406,8 @@ def _pairs(cases: list) -> int:
 def _walks(cases: list) -> int:
     # The walks partition the edges into maximal chains of safe pairs:
     # every consecutive pair inside a walk is safe, and when the circuit
-    # is not unique, no pair that leaves a walk's last edge is.
+    # is not unique, no pair that leaves a walk's last edge is. They are
+    # listed by ascending first edge id, and a unique circuit from edge 0.
     walks = 0
     for g, oracles, _ in cases:
         edges = list(g.edge_pairs())
@@ -416,13 +415,14 @@ def _walks(cases: list) -> int:
         report = maximal_safe_walks(g)
         assert report.unique_circuit == unique, edges
         assert sorted(e for w in report.walks for e in w) == list(range(g.num_edges)), edges
+        firsts = [w[0] for w in report.walks]
+        assert firsts == ([0] if unique else sorted(firsts)), edges
         for w in report.walks:
             assert is_valid_walk(g, w), (edges, w)
             if oracles:
                 possible = oracles.possible
                 assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)
                 assert possible[w[-1]] == [w[0]] if unique else len(possible[w[-1]]) == 2, (edges, w)
-        assert not oracles or report == brute_force_safe_walks(g), edges
         walks += len(report.walks)
     return walks
 
@@ -435,7 +435,7 @@ def _sides(cases: list) -> int:
         edges, labels, heads, tails = list(g.edge_pairs()), g.labels, g.heads, g.tails
         out_edges = _out_edges(g)
         in_edges = [g.eid[s:t] for s, t in zip(g.out_end, g.off[1:])]
-        block, _, _ = safety._forcing(g)
+        block, _ = safety._successors(g)
         checker = SafePairChecker(g)
         classes = classify_nodes(g)
         cuts = articulation_points(g)

@@ -661,7 +661,7 @@ class TestLargeAndMalformedInput:
         assert (result.returncode, result.stdout) == (0, "1\n")
 
     def test_runaway_chain_is_one_line(self, graph_file, capsys, monkeypatch):
-        monkeypatch.setattr("eulersafe.safety._forced_successors", cycling_successors)
+        monkeypatch.setattr("eulersafe.safety._successors", cycling_successors)
         assert cli.main(["safe", graph_file(FIGURE_EIGHT)]) == 2
         assert capsys.readouterr().err == (
             "error: forced-successor chain from edge 0 is longer than |E| = 6\n"

@@ -252,7 +252,7 @@ class TestLongWalks:
 
 
 def test_runaway_chain_is_a_contract_error(monkeypatch, figure_eight):
-    monkeypatch.setattr(safety, "_forced_successors", cycling_successors)
+    monkeypatch.setattr(safety, "_successors", cycling_successors)
     with pytest.raises(ContractError, match="chain from edge 0 is longer than [|]E[|] = 6"):
         maximal_safe_walks(figure_eight)
 
