@@ -53,6 +53,7 @@ CHAINS = "tests/test_cutnodes.py::TestChains::test_cut_nodes_and_blocks_match_th
 SAFETY = "tests/test_safety.py::"
 STARTUP = "tests/test_startup.py::test_command_loads_only_what_it_runs"
 ESCAPED = "tests/test_cli.py::TestSafeMatchesReference::test_escaped_labels"
+BATCHES = "tests/test_cli.py::TestSafeBatches::"
 DRAW = "tests/test_generator.py::"
 
 MUTANTS = [
@@ -211,6 +212,28 @@ MUTANTS = [
         "names[tails[walk[0]]]",
         "names[heads[walk[0]]]",
         (ESCAPED + "[ring-structured]",),
+    ),
+    # The one loop that batches both formats' walk lines.
+    Mutant(
+        "batches: not flushed before a long walk's pieces",
+        "src/eulersafe/cli.py",
+        '                if batch:\n                    write("".join(batch))\n                    batch.clear()\n',
+        "",
+        (BATCHES + "test_long_walk_is_written_in_pieces[4097-text]", BATCHES + "test_long_walk_among_one_edge_walks[12293-structured]"),
+    ),
+    Mutant(
+        "batches: a walk of WALK_CHUNK edges written in pieces",
+        "src/eulersafe/cli.py",
+        "if len(walk) <= WALK_CHUNK:",
+        "if len(walk) < WALK_CHUNK:",
+        (BATCHES + "test_long_walk_is_written_in_pieces[4096-structured]", BATCHES + "test_long_walk_among_one_edge_walks[4096-text]"),
+    ),
+    Mutant(
+        "batches: flushed at 1,025 walks",
+        "src/eulersafe/cli.py",
+        "if len(batch) == 1024:",
+        "if len(batch) == 1025:",
+        (BATCHES + "test_write_count[1025-text]", BATCHES + "test_write_count_one_edge_walks[3000-structured]"),
     ),
     # The generator's draw and its early stop of the union-find.
     Mutant(

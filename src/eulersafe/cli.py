@@ -11,7 +11,7 @@ count or an oracle comparison refused by its size bounds (see
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from types import SimpleNamespace
 
 # Each command imports the rest of what it runs, so that start-up pays only
@@ -47,26 +47,41 @@ def cmd_unique(args) -> int:
 
 
 def cmd_safe(args) -> int:
-    from .safety import _safe_walks
+    from .safety import _safe_walks, _walk
 
     g = _load_graph(args.path)
     count, unique, succ, starts = _safe_walks(g)
+    walk_format = _structured_format if args.format == "structured" else _text_format
+    header, one, pieces = walk_format(g, count, unique)
     write = sys.stdout.write
-    # The walks partition the edges, so their total length is |E|.
-    if args.format == "structured":
-        write(
-            f'{{"edges":{g.num_edges},"record":"header","total_length":{g.num_edges},'
-            f'"unique":{"true" if unique else "false"},"walks":{count}}}\n'
-        )
-        _write_structured_walks(write, g, succ, starts)
-    else:
-        write(
-            f"edges: {g.num_edges}\n"
-            f"maximal safe walks: {count}\n"
-            f"total length: {g.num_edges}\n"
-            f"unique circuit: {'yes' if unique else 'no'}\n"
-        )
-        _write_text_walks(write, g, succ, starts)
+    write(header)
+    # Walk lines go out joined, 1024 per write. A write per line costs a
+    # system call each when stdout is unbuffered; one write of everything
+    # would hold every line, and then their join, in memory. The header has
+    # its own write. A one-edge walk's line is formatted straight from the
+    # edge arrays; every other walk is followed by ``safety._walk`` only
+    # when its turn comes. Past ``WALK_CHUNK`` edges, the batch is written
+    # and then the walk's line one piece at a time, so that no write holds
+    # all of it; each piece holds at most ``WALK_CHUNK`` edges.
+    batch: list[str] = []
+    for index, first in enumerate(starts):
+        if succ[first] < 0:
+            batch.append(one(index, first))
+        else:
+            walk = _walk(succ, first)
+            if len(walk) <= WALK_CHUNK:
+                batch.append("".join(pieces(index, walk)))
+            else:
+                if batch:
+                    write("".join(batch))
+                    batch.clear()
+                for piece in pieces(index, walk):
+                    write(piece)
+        if len(batch) == 1024:
+            write("".join(batch))
+            batch.clear()
+    if batch:
+        write("".join(batch))
     return 0
 
 
@@ -74,40 +89,23 @@ def cmd_safe(args) -> int:
 WALK_CHUNK = 4096
 
 
-def _flush(write, batch: list[str]) -> None:
-    """Write the batched walk lines, if any, as one string.
-
-    Walk lines go out joined, 1024 per write. A write per line costs a
-    system call each when stdout is unbuffered; one write of everything
-    would hold every line, and then their join, in memory. The header has
-    its own write. A one-edge walk's line is formatted straight from the
-    edge arrays; every other walk is followed by ``safety._walk`` only when
-    its turn comes, and its line is built by :func:`_write_pieces`.
-    """
-    if batch:
-        write("".join(batch))
-        batch.clear()
-
-
-def _write_pieces(write, batch: list[str], walk: Sequence[int], pieces: Iterable[str]) -> None:
-    """Add the line of ``walk``, given as its ``pieces``, to the batch; or,
-    past ``WALK_CHUNK`` edges, flush the batch and write the line one piece
-    at a time, so that no write holds all of it. Each of a long line's
-    pieces holds at most ``WALK_CHUNK`` edges."""
-    if len(walk) <= WALK_CHUNK:
-        batch.append("".join(pieces))
-        return
-    _flush(write, batch)
-    for piece in pieces:
-        write(piece)
-
-
-def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
-    from .safety import _walk
-
+def _text_format(g: Graph, count: int, unique: bool) -> tuple[str, Callable, Callable]:
+    """``safe``'s text format: its header; ``one(index, e)``, the line of
+    the one-edge walk of edge ``e``; and ``pieces(index, walk)``, the
+    pieces of any longer walk's line."""
     labels = g.labels
     tails = g.tails
     heads = g.heads
+    # The walks partition the edges, so their total length is |E|.
+    header = (
+        f"edges: {g.num_edges}\n"
+        f"maximal safe walks: {count}\n"
+        f"total length: {g.num_edges}\n"
+        f"unique circuit: {'yes' if unique else 'no'}\n"
+    )
+
+    def one(index: int, e: int) -> str:
+        return f"walk {index} (length 1): {labels[tails[e]]} -> {labels[heads[e]]} [edges {e}]\n"
 
     def pieces(index: int, walk: Sequence[int]) -> Iterator[str]:
         yield f"walk {index} (length {len(walk)}): {labels[tails[walk[0]]]}"
@@ -118,25 +116,13 @@ def _write_text_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int
             yield " " + " ".join(map(str, walk[i : i + WALK_CHUNK]))
         yield "]\n"
 
-    batch: list[str] = []
-    for index, first in enumerate(starts):
-        if succ[first] < 0:
-            batch.append(
-                f"walk {index} (length 1): {labels[tails[first]]} -> {labels[heads[first]]} "
-                f"[edges {first}]\n"
-            )
-        else:
-            walk = _walk(succ, first)
-            _write_pieces(write, batch, walk, pieces(index, walk))
-        if len(batch) == 1024:
-            _flush(write, batch)
-    _flush(write, batch)
+    return header, one, pieces
 
 
-def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterable[int]) -> None:
+def _structured_format(g: Graph, count: int, unique: bool) -> tuple[str, Callable, Callable]:
+    """``safe``'s structured format, one JSON record a line, in the three
+    parts of :func:`_text_format`."""
     from json.encoder import encode_basestring_ascii
-
-    from .safety import _walk
 
     # json.dumps escapes strings with this same function under its default
     # ensure_ascii=True, so every record matches
@@ -154,6 +140,16 @@ def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterab
             break
     tails = g.tails
     heads = g.heads
+    header = (
+        f'{{"edges":{g.num_edges},"record":"header","total_length":{g.num_edges},'
+        f'"unique":{"true" if unique else "false"},"walks":{count}}}\n'
+    )
+
+    def one(index: int, e: int) -> str:
+        return (
+            f'{{"edges":[{e}],"index":{index},"length":1,'
+            f'"nodes":["{names[tails[e]]}","{names[heads[e]]}"],"record":"walk"}}\n'
+        )
 
     def pieces(index: int, walk: Sequence[int]) -> Iterator[str]:
         separator = '{"edges":['
@@ -165,19 +161,7 @@ def _write_structured_walks(write, g: Graph, succ: Sequence[int], starts: Iterab
             yield '","' + '","'.join([names[heads[e]] for e in walk[i : i + WALK_CHUNK]])
         yield '"],"record":"walk"}\n'
 
-    batch: list[str] = []
-    for index, first in enumerate(starts):
-        if succ[first] < 0:
-            batch.append(
-                f'{{"edges":[{first}],"index":{index},"length":1,'
-                f'"nodes":["{names[tails[first]]}","{names[heads[first]]}"],"record":"walk"}}\n'
-            )
-        else:
-            walk = _walk(succ, first)
-            _write_pieces(write, batch, walk, pieces(index, walk))
-        if len(batch) == 1024:
-            _flush(write, batch)
-    _flush(write, batch)
+    return header, one, pieces
 
 
 def cmd_count(args) -> int:

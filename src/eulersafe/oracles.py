@@ -118,11 +118,11 @@ def _rewritten_edges(g: Graph) -> list[int]:
     return found
 
 
-def _fresh_label(base_index: dict[str, int], taken: set[str], counter: int) -> tuple[str, int]:
+def _fresh_label(base_index: dict[str, int], counter: int) -> tuple[str, int]:
     while True:
         label = f"s{counter}"
         counter += 1
-        if label not in base_index and label not in taken:
+        if label not in base_index:
             return label, counter
 
 
@@ -154,7 +154,6 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     origin: list[int] = []
     half: list[int] = []
     subs: list[str] = []
-    taken: set[str] = set()
     counter = 0
     labels = g.labels
     tails = g.tails
@@ -162,8 +161,7 @@ def normalize(g: Graph) -> tuple[Graph, NormalizationMap]:
     for e in range(m):
         tail, head = labels[tails[e]], labels[heads[e]]
         if e in rewrite:
-            label, counter = _fresh_label(g.index, taken, counter)
-            taken.add(label)
+            label, counter = _fresh_label(g.index, counter)
             subs.append(label)
             edges.append((tail, label))
             origin.append(e)

@@ -37,6 +37,10 @@ FIGURE_EIGHT = "v a\na b\nb v\nv c\nc d\nd v\n"
 BIDIRECTED = "a b\nb a\nb c\nc b\na c\nc a\n"
 MULTI = "a b\na b\nb a\nb a\n"
 
+# ``python -m eulersafe.cli`` on the package under test.
+CLI = [sys.executable, "-m", "eulersafe.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -292,11 +296,11 @@ class RecordingStdout:
 def safe_child(path: str, *args: str, unbuffered: bool) -> tuple[list[str], dict[str, str]]:
     """Command line and environment of a ``safe`` child process, with
     stdout unbuffered or not."""
-    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
+    env = dict(CLI_ENV)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return [sys.executable, "-m", "eulersafe.cli", "safe", path, *args], env
+    return [*CLI, "safe", path, *args], env
 
 
 class TestSafeBatches:
@@ -531,9 +535,6 @@ def limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-# ``python -m eulersafe.cli`` on the package under test.
-CLI = [sys.executable, "-m", "eulersafe.cli"]
-CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
 SPAWN = Path(__file__).resolve().parents[1] / "bench" / "spawn.py"
 
 
@@ -682,11 +683,10 @@ class TestLargeAndMalformedInput:
         ids=["check", "safe", "structured"],
     )
     def test_label_stdout_cannot_encode(self, graph_file, args, text, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
-        env["PYTHONIOENCODING"] = "ascii"
+        env = dict(CLI_ENV, PYTHONIOENCODING="ascii")
         path = graph_file(text)
         result = subprocess.run(
-            [sys.executable, "-m", "eulersafe.cli", args[0], path, *args[1:]],
+            [*CLI, args[0], path, *args[1:]],
             capture_output=True, timeout=60, env=env,
         )
         assert result.returncode == code
@@ -987,10 +987,9 @@ class TestOneLineRule:
 def check_child(path: str, **kwargs) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``eulersafe check path`` run in a
     child limited to 60 s."""
-    env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-m", "eulersafe.cli", "check", path],
-        capture_output=True, timeout=60, env=env, **kwargs,
+        [*CLI, "check", path],
+        capture_output=True, timeout=60, env=CLI_ENV, **kwargs,
     )
     return result.returncode, result.stdout.decode(), result.stderr.decode()
 
@@ -1030,11 +1029,10 @@ class TestUnseekableInput:
 
     def test_endless_pipe_with_a_malformed_line(self):
         # Reading to the end of this input before reporting would never end.
-        env = dict(os.environ, PYTHONPATH=str(Path(eulersafe.__file__).parents[1]))
         with subprocess.Popen(
-            [sys.executable, "-m", "eulersafe.cli", "check", "/dev/stdin"],
+            [*CLI, "check", "/dev/stdin"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            bufsize=0, env=env,
+            bufsize=0, env=CLI_ENV,
         ) as child:
 
             def feed():
