@@ -21,6 +21,12 @@ equivalent, with the reason, and has no row:
   set's first node twice is not equivalent: with two sets opened, two
   nodes can be left out, and a later cycle on just those two is a second
   component (the row "generator: each set's first node counted twice").
+- ``oracles.find_eulerian_circuit`` without a final rotation to edge 0.
+  The walk starts at edge 0's tail, whose lowest-id out-edge is edge 0,
+  so edge 0 is pushed first, emitted last and first once the list is
+  reversed: such a rotation never moves an edge, and the builder has none.
+  Starting the walk at another node is not equivalent (the row
+  "Hierholzer: started at edge 0's head").
 """
 from __future__ import annotations
 
@@ -55,6 +61,8 @@ STARTUP = "tests/test_startup.py::test_command_loads_only_what_it_runs"
 ESCAPED = "tests/test_cli.py::TestSafeMatchesReference::test_escaped_labels"
 BATCHES = "tests/test_cli.py::TestSafeBatches::"
 DRAW = "tests/test_generator.py::"
+BUILDER = "tests/test_circuit.py::TestFindEulerianCircuit::"
+CHECKER = "tests/test_circuit.py::TestVerifyCircuit::"
 
 MUTANTS = [
     # The block-label rule: v is a cut node iff a neighbour's label is
@@ -256,6 +264,35 @@ MUTANTS = [
         "                sets += 1\n                untouched -= 1\n",
         "                sets += 1\n                untouched -= 2\n",
         (DRAW + "test_later_disjoint_cycle_is_retried",),
+    ),
+    # The oracles' circuit builder and circuit check.
+    Mutant(
+        "Hierholzer: started at edge 0's head",
+        "src/eulersafe/oracles.py",
+        "node_stack = [g.tails[0]]",
+        "node_stack = [g.heads[0]]",
+        (BUILDER + "test_triangle", BUILDER + "test_three_triangles"),
+    ),
+    Mutant(
+        "circuit check: negative ids in range",
+        "src/eulersafe/oracles.py",
+        "all(0 <= e < m for e in edges)",
+        "all(e < m for e in edges)",
+        (CHECKER + "test_rejects_negative_ids",),
+    ),
+    Mutant(
+        "circuit check: repeats allowed",
+        "src/eulersafe/oracles.py",
+        "        and len(set(edges)) == len(edges) == m\n",
+        "        and len(edges) == m\n",
+        (CHECKER + "test_rejects_duplicates",),
+    ),
+    Mutant(
+        "circuit check: not closed",
+        "src/eulersafe/oracles.py",
+        "        and heads[edges[-1]] == tails[edges[0]]\n",
+        "",
+        (CHECKER + "test_rejects_open_walk",),
     ),
     # Start-up: each command imports only the code it runs.
     Mutant(

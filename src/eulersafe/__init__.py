@@ -35,7 +35,7 @@ _SUBMODULE = {
     "count_best": "oracles",
     "count_circuits": "circuit",
     "enumerate_eulerian_circuits": "oracles",
-    "find_eulerian_circuit": "circuit",
+    "find_eulerian_circuit": "oracles",
     "has_unique_eulerian_circuit": "safety",
     "is_eulerian": "graph",
     "maximal_safe_walks": "safety",

@@ -1,5 +1,5 @@
-"""Eulerian circuit construction (Hierholzer) and exact circuit counting
-over biconnected blocks."""
+"""Exact Eulerian circuit counting over biconnected blocks. No circuit is
+built: Hierholzer's builder is an oracle, in :mod:`eulersafe.oracles`."""
 from __future__ import annotations
 
 from array import array
@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from itertools import accumulate
 from math import factorial, lgamma, log, log10
 
-from .graph import Circuit, ContractError, Graph, is_valid_walk, require_eulerian
+from .graph import ContractError, Graph, require_eulerian
 
 # Bound on the dense determinants of count_circuits: the reduced blocks'
 # kept-node counts k must satisfy sum(k**3) <= MAX_BLOCK_NODES**3, so the
@@ -25,65 +25,6 @@ MAX_BLOCK_NODES = 150
 # (Python 3.11, 2-core x86-64 host), so one node with 10**6 self-loops
 # (5.6 million digits) would take minutes.
 MAX_COUNT_DIGITS = 100_000
-
-
-def find_eulerian_circuit(g: Graph, stats: dict | None = None) -> Circuit:
-    """Build an Eulerian circuit in O(|E|) time (Hierholzer).
-
-    Out-edges are consumed in ascending edge-id order, so the result is
-    deterministic; :func:`eulersafe.oracles.enumerate_eulerian_circuits`
-    gives every other circuit. The circuit is rotated to start with edge
-    id 0. ``stats`` receives the stack push count; it remains for
-    ``bench/`` until ROADMAP item 1.
-
-    Raises :class:`ContractError` naming the failed Euler condition when the
-    graph is not Eulerian.
-    """
-    require_eulerian(g)
-    heads = g.heads
-    out_end = g.out_end
-    out = g.eid
-    cursor = list(g.off)
-    # Parallel stacks (node, edge used to enter it). When a node has no
-    # unused out-edge left, its entry edge is emitted; reversing at the end
-    # yields the circuit with sub-tours spliced in place.
-    node_stack = [g.tails[0]]
-    edge_stack = [-1]
-    pushes = 1
-    circuit: list[int] = []
-    emit = circuit.append
-    while node_stack:
-        v = node_stack[-1]
-        c = cursor[v]
-        if c < out_end[v]:
-            e = out[c]
-            cursor[v] = c + 1
-            node_stack.append(heads[e])
-            edge_stack.append(e)
-            pushes += 1
-        else:
-            node_stack.pop()
-            e = edge_stack.pop()
-            if e >= 0:
-                emit(e)
-    if stats is not None:
-        stats["stack_pushes"] = pushes
-    circuit.reverse()
-    i = circuit.index(0)
-    if i:
-        circuit = circuit[i:] + circuit[:i]
-    return Circuit(tuple(circuit))
-
-
-def verify_circuit(g: Graph, c: Circuit) -> bool:
-    """True iff ``c`` is head-to-tail consistent, closed, and uses every
-    edge id of ``g`` exactly once."""
-    edges = c.edges
-    return (
-        len(set(edges)) == len(edges) == g.num_edges
-        and is_valid_walk(g, edges)
-        and g.heads[edges[-1]] == g.tails[edges[0]]
-    )
 
 
 def edge_blocks(g: Graph) -> tuple[array, int]:

@@ -185,18 +185,6 @@ def walk_nodes(g: Graph, edges: Sequence[int]) -> list[str]:
     return nodes
 
 
-def is_valid_walk(g: Graph, edges: Sequence[int]) -> bool:
-    """True iff consecutive edges are head-to-tail consistent in ``g``."""
-    if not edges:
-        return False
-    m = g.num_edges
-    if any(e < 0 or e >= m for e in edges):
-        return False
-    heads = g.heads
-    tails = g.tails
-    return all(heads[edges[i]] == tails[edges[i + 1]] for i in range(len(edges) - 1))
-
-
 BLOCK_SIZE = 1 << 13  # characters of text, or bytes of a file, taken at a time
 
 

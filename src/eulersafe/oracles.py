@@ -5,12 +5,13 @@ cross-checks: exhaustive circuit enumeration and counting over trail
 states, arborescence counting via exact integer determinants, safe walks
 straight from the definition by transition splitting, component splits by
 union-find, and the classic cycle-intersection-graph uniqueness test.
-Their Euler check is their own: degrees counted from the edge lists and
-connectivity from the one union-find, :func:`_roots`, which also serves
-every other connectivity test here. The one routine shared with the
-pipeline is the Bareiss determinant, which the dense :func:`count_best`
-borrows from the block-factored production counter; the state count
-catches a fault in it.
+Hierholzer's circuit builder and the circuit check live here too, since
+no command builds a circuit. Their Euler check is their own: degrees
+counted from the edge lists and connectivity from the one union-find,
+:func:`_roots`, which also serves every other connectivity test here.
+The one routine shared with the pipeline is the Bareiss determinant,
+which the dense :func:`count_best` borrows from the block-factored
+production counter; the state count catches a fault in it.
 
 Every oracle takes a multigraph as it is. :func:`normalize`, which rewrites
 self-loops and parallel edges into two-edge paths, feeds none of them; it
@@ -222,6 +223,69 @@ def _require_eulerian(g: Graph) -> None:
                 f"graph is not Eulerian: node '{label}' is not reachable from "
                 f"'{labels[0]}' ignoring directions"
             )
+
+
+def find_eulerian_circuit(g: Graph, stats: dict | None = None) -> Circuit:
+    """Build an Eulerian circuit in O(|E|) time (Hierholzer).
+
+    Out-edges are consumed in ascending edge-id order, so the result is
+    deterministic; :func:`enumerate_eulerian_circuits` gives every other
+    circuit. The walk starts at edge 0's tail, whose lowest-id out-edge is
+    edge 0, so edge 0 is pushed first, emitted last and, once the emitted
+    list is reversed, starts the circuit. ``stats`` receives the stack push
+    count; it remains for ``bench/`` until ROADMAP item 1.
+
+    Raises :class:`ContractError` naming the failed Euler condition when the
+    graph is not Eulerian (:func:`_require_eulerian`).
+    """
+    _require_eulerian(g)
+    heads = g.heads
+    out_end = g.out_end
+    out = g.eid
+    cursor = list(g.off)
+    # Parallel stacks (node, edge used to enter it). When a node has no
+    # unused out-edge left, its entry edge is emitted; reversing at the end
+    # yields the circuit with sub-tours spliced in place.
+    node_stack = [g.tails[0]]
+    edge_stack = [-1]
+    pushes = 1
+    circuit: list[int] = []
+    emit = circuit.append
+    while node_stack:
+        v = node_stack[-1]
+        c = cursor[v]
+        if c < out_end[v]:
+            e = out[c]
+            cursor[v] = c + 1
+            node_stack.append(heads[e])
+            edge_stack.append(e)
+            pushes += 1
+        else:
+            node_stack.pop()
+            e = edge_stack.pop()
+            if e >= 0:
+                emit(e)
+    if stats is not None:
+        stats["stack_pushes"] = pushes
+    circuit.reverse()
+    return Circuit(tuple(circuit))
+
+
+def verify_circuit(g: Graph, c: Circuit) -> bool:
+    """True iff ``c`` is an Eulerian circuit of ``g``. Checked in this
+    order: every id is an edge of ``g`` (a negative one would wrap), each
+    edge appears exactly once, each edge's head is the next one's tail,
+    and the last edge's head is the first one's tail."""
+    edges = c.edges
+    m = g.num_edges
+    heads = g.heads
+    tails = g.tails
+    return (
+        all(0 <= e < m for e in edges)
+        and len(set(edges)) == len(edges) == m
+        and all(heads[e] == tails[f] for e, f in zip(edges, edges[1:]))
+        and heads[edges[-1]] == tails[edges[0]]
+    )
 
 
 def _fleury(g: Graph):

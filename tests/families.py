@@ -20,7 +20,7 @@ from eulersafe import (
     has_unique_eulerian_circuit, is_eulerian, maximal_safe_walks, normalize, random_eulerian_edges, safety,
 )
 from eulersafe.circuit import edge_blocks
-from eulersafe.graph import is_valid_walk, require_eulerian
+from eulersafe.graph import require_eulerian
 from eulersafe.oracles import (
     _possible_successors, count_best, count_by_states, enumerate_eulerian_circuits, pevzner_intersection_graph,
 )
@@ -418,7 +418,7 @@ def _walks(cases: list) -> int:
         firsts = [w[0] for w in report.walks]
         assert firsts == ([0] if unique else sorted(firsts)), edges
         for w in report.walks:
-            assert is_valid_walk(g, w), (edges, w)
+            assert all(g.heads[e] == g.tails[f] for e, f in zip(w, w[1:])), (edges, w)
             if oracles:
                 possible = oracles.possible
                 assert all(possible[e] == [f] for e, f in zip(w, w[1:])), (edges, w)

@@ -21,8 +21,8 @@ def test_fast_answers_match_the_oracles(family):
 
 def _pipeline_seconds(g: Graph) -> float:
     # maximal_safe_walks on the raw multigraph spans the whole pipeline:
-    # node classification (degrees, cut nodes, loops), circuit
-    # construction, cutting, and the report.
+    # the analysis pass (balance scan, lowlink DFS), the forced-successor
+    # table, its chains followed into walks, and the report.
     start = time.perf_counter()
     maximal_safe_walks(g)
     return time.perf_counter() - start

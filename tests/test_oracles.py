@@ -15,7 +15,6 @@ from eulersafe import (
     has_unique_eulerian_circuit,
 )
 from eulersafe import graph, oracles
-from eulersafe.circuit import verify_circuit
 from eulersafe.oracles import (
     _bareiss_determinant,
     brute_force_safe_walks,
@@ -24,7 +23,9 @@ from eulersafe.oracles import (
     count_best,
     count_by_states,
     enumerate_eulerian_circuits,
+    find_eulerian_circuit,
     pevzner_intersection_graph,
+    verify_circuit,
 )
 from families import canonical_rotation, corpus, ring
 
@@ -44,6 +45,8 @@ def test_oracles_run_without_the_analysis_pass(request, monkeypatch, fixture):
         brute_force_safe_walks,
         pevzner_intersection_graph,
         lambda g: component_split(g, g.labels[0]),
+        find_eulerian_circuit,
+        lambda g: verify_circuit(g, find_eulerian_circuit(g)),
     ]
     expected = [run(g) for run in runs]
 
